@@ -3,9 +3,13 @@
 Commands: preprocess, train, calibrate, detect, evaluate, fitness, synth.
 Every command accepts --seed/--out/--config, snapshots its effective
 parameters into an atomically written run manifest next to its outputs, and
-exits non-zero iff any per-item failure occurred.  All numeric defaults are
-overridable by flags or by a flat key-value JSON config file (flag names with
-underscores); explicit flags win over the config file.
+exits 1 iff some items failed and the rest were processed (a flight, or a
+``detect --stream`` row, which is reported on stderr and skipped), 2 on bad
+input.  All numeric defaults are overridable by flags or by a flat key-value
+JSON config file (flag names with underscores); explicit flags win over the
+config file.  Window geometry is read from windows.csv by train and calibrate
+and from the model by ``detect --log/--logs``, never guessed.  ``detect``
+warns when no calibrated threshold is given and records it in its manifest.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ MANIFEST_NAME = "run_manifest.json"
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, inputs: list,
-                    outputs: list, seed, started: float) -> None:
+                    outputs: list, seed, started: float, **extra) -> None:
     doc = {
+        **extra,
         "command": command,
         "tool": "flightwatch",
         "version": __version__,
@@ -66,29 +71,12 @@ def _sorted_logs(logs_dir: str) -> list[Path]:
     return paths
 
 
-def _preprocess_config(args, nominal_dist: float = 3.0,
-                       lookahead: float = 50.0) -> preprocess.PreprocessConfig:
-    return preprocess.PreprocessConfig(
-        window_length=args.window_s, overlap=args.overlap_s, sample_rate=args.rate_hz,
-        nominal_distance=nominal_dist, nominal_lookahead=lookahead)
-
-
-def _model_preprocess_config(model: autoenc.AutoencoderModel) -> preprocess.PreprocessConfig:
-    """Windowing parameters recorded in the model, with library defaults as
-    fallback for models trained without preprocessing metadata."""
-    window_length = model.window_length if model.window_length else 5.0
-    return preprocess.PreprocessConfig(
-        window_length=window_length,
-        overlap=model.overlap if model.overlap else window_length / 2.0,
-        sample_rate=model.sample_rate if model.sample_rate
-        else model.input_length / window_length)
-
-
 def cmd_preprocess(args) -> int:
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _preprocess_config(args)
+    config = preprocess.PreprocessConfig(
+        window_length=args.window_s, overlap=args.overlap_s, sample_rate=args.rate_hz)
     obstacles = None
     if args.obstacles:
         obstacles = parse_obstacles(args.obstacles)
@@ -126,18 +114,8 @@ def cmd_train(args) -> int:
     windows = preprocess.read_windows_csv(args.windows)
     if not windows:
         raise SystemExit(f"no windows in {args.windows}")
-    w_len = len(windows[0].values)
-    window_length = windows[0].end - windows[0].start
-    stride = None
-    for a, b in zip(windows, windows[1:]):
-        if a.flight_id == b.flight_id and b.index == a.index + 1:
-            stride = b.start - a.start
-            break
-    pconf = preprocess.PreprocessConfig(
-        window_length=window_length,
-        overlap=window_length - stride if stride else window_length / 2.0,
-        sample_rate=w_len / window_length,
-        nominal_distance=args.nominal_dist, nominal_lookahead=args.lookahead_s)
+    pconf = preprocess.config_from_windows(
+        windows, nominal_distance=args.nominal_dist, nominal_lookahead=args.lookahead_s)
     nominal = preprocess.filter_nominal_from_windows(windows, pconf)
     if not nominal:
         raise SystemExit("zero nominal windows after filtering; nothing to train on")
@@ -166,11 +144,8 @@ def cmd_calibrate(args) -> int:
     if not windows:
         raise SystemExit(f"no windows in {args.windows}")
     if not args.no_filter:
-        pconf = _model_preprocess_config(model)
-        pconf = preprocess.PreprocessConfig(
-            window_length=pconf.window_length, overlap=pconf.overlap,
-            sample_rate=pconf.sample_rate,
-            nominal_distance=args.nominal_dist, nominal_lookahead=args.lookahead_s)
+        pconf = preprocess.config_from_windows(
+            windows, nominal_distance=args.nominal_dist, nominal_lookahead=args.lookahead_s)
         windows = preprocess.filter_nominal_from_windows(windows, pconf)
         if not windows:
             raise SystemExit("zero nominal windows after filtering")
@@ -204,17 +179,16 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _detect_one(model, det_config, windows, trace):
-    report = detector.detect_stream(model, windows, det_config)
-    return detector.lead_time_analysis(report, trace, det_config)
-
-
 def cmd_detect(args) -> int:
     started = time.time()
     model = autoenc.load_model(args.model)
     det_config = detector.DetectorConfig.from_model(
         model, threshold=args.threshold, n_consecutive=args.n_consecutive,
         critical_distance=args.critical_dist)
+    calibrated = args.threshold is not None or model.threshold is not None
+    if not calibrated:
+        print(f"warning: {args.model} has no calibrated threshold and no --threshold "
+              f"was given; using the default {det_config.threshold!r}", file=sys.stderr)
     if args.stream:
         return _detect_stream_stdin(model, det_config)
     if not args.out:
@@ -222,7 +196,6 @@ def cmd_detect(args) -> int:
     out = Path(args.out)
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    pconf = _model_preprocess_config(model)
     obstacles = parse_obstacles(args.obstacles) if args.obstacles else None
     reports = []
     failures = []
@@ -230,13 +203,20 @@ def cmd_detect(args) -> int:
     if args.log or args.logs:
         paths = [Path(args.log)] if args.log else _sorted_logs(args.logs)
         inputs = [str(p) for p in paths]
+        if None in (model.window_length, model.overlap, model.sample_rate):
+            raise ValueError("model has no window geometry (window_length, overlap, "
+                             "sample_rate) to cut logs with; retrain it or use --windows")
+        pconf = preprocess.PreprocessConfig(window_length=model.window_length,
+                                            overlap=model.overlap,
+                                            sample_rate=model.sample_rate)
         for path in paths:
             fid = path.stem
             try:
                 log = parse_flight_log(path, flight_id=fid)
                 windows, trace = preprocess.preprocess_flight(log, pconf,
                                                               obstacles=obstacles)
-                reports.append(_detect_one(model, det_config, windows, trace))
+                report = detector.detect_stream(model, windows, det_config)
+                reports.append(detector.lead_time_analysis(report, trace, det_config))
             except Exception as exc:  # noqa: BLE001 - per-flight isolation
                 failures.append((fid, exc))
                 print(f"error: flight {fid}: {exc}", file=sys.stderr)
@@ -248,7 +228,7 @@ def cmd_detect(args) -> int:
         for fid in sorted(by_flight):
             try:
                 flight_windows = sorted(by_flight[fid], key=lambda w: w.index)
-                reports.append(_detect_one(model, det_config, flight_windows, None))
+                reports.append(detector.detect_stream(model, flight_windows, det_config))
             except Exception as exc:  # noqa: BLE001
                 failures.append((fid, exc))
                 print(f"error: flight {fid}: {exc}", file=sys.stderr)
@@ -268,36 +248,44 @@ def cmd_detect(args) -> int:
           f"{n_alarms} alarms (threshold {det_config.threshold!r}, "
           f"n={det_config.n_consecutive})")
     _write_manifest(out, "detect", _config_snapshot(args), inputs, outputs,
-                    args.seed, started)
+                    args.seed, started, threshold_calibrated=calibrated)
     return 1 if failures else 0
 
 
 def _detect_stream_stdin(model, det_config) -> int:
-    """Read windowed-CSV rows from stdin; emit alarm rows as they occur."""
+    """Read windowed-CSV rows from stdin; emit alarm rows as they occur.
+
+    A malformed or out-of-order row is reported on stderr and skipped; the
+    rest are still scored.  Returns 1 iff a row was skipped.
+    """
+    skipped = 0
     try:
         reader = csv.reader(sys.stdin)
         header = next(reader, None)
         if header is None:
             return 0
+        width = preprocess.windows_csv_width(header)
+        if width != model.input_length:
+            raise ValueError(f"stream windows have {width} samples, "
+                             f"the model expects {model.input_length}")
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(detector.ALARMS_CSV_HEADER)
         sys.stdout.flush()
         detectors: dict[str, detector.StreamDetector] = {}
-        w = len(header) - 8
         for row in reader:
             if not row:
                 continue
-            win = preprocess.HeadingWindow(
-                flight_id=row[0], index=int(row[1]), start=float(row[2]),
-                end=float(row[3]),
-                values=np.array([float(v) for v in row[8:8 + w]]),
-                win_dist=float(row[4]), min_dist=float(row[5]),
-                safety=row[6] or None, certainty=row[7] or None)
-            det = detectors.get(win.flight_id)
-            if det is None:
-                det = detector.StreamDetector(model, det_config, win.flight_id)
-                detectors[win.flight_id] = det
-            alarm = det.update(win)
+            try:
+                win = preprocess.parse_window_row(row, width)
+                det = detectors.get(win.flight_id)
+                if det is None:
+                    det = detector.StreamDetector(model, det_config, win.flight_id)
+                    detectors[win.flight_id] = det
+                alarm = det.update(win)
+            except ValueError as exc:
+                skipped += 1
+                print(f"error: row {reader.line_num}: {exc}", file=sys.stderr)
+                continue
             if alarm is not None:
                 writer.writerow([win.flight_id, alarm.window_index,
                                  repr(alarm.timestamp), repr(alarm.loss),
@@ -307,7 +295,7 @@ def _detect_stream_stdin(model, det_config) -> int:
         # the consumer went away (e.g. piped into head); leave quietly and
         # hand the interpreter a writable stdout so shutdown does not complain
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+    return 1 if skipped else 0
 
 
 def cmd_evaluate(args) -> int:

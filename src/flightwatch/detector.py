@@ -2,9 +2,9 @@
 
 Each incoming heading window is scored by the autoencoder's reconstruction
 loss; an alarm fires whenever the mean of the last ``n_consecutive`` losses
-exceeds the threshold.  Averaging suppresses the single-window loss spikes
-that normal maneuvers (intentional turns, mode switches) produce.  Detection
-is strictly causal: the decision for window i sees only windows <= i.
+exceeds the threshold or is not finite.  Averaging suppresses the single-window
+loss spikes that normal maneuvers (intentional turns, mode switches) produce.
+Detection is strictly causal: the decision for window i sees only windows <= i.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .autoenc import AutoencoderModel, mse_loss
+from .autoenc import AutoencoderModel
 from .flightdata import FlightLabels
 from .geometry import DistanceTrace
 from .preprocess import HeadingWindow
@@ -105,19 +105,20 @@ class StreamDetector:
     def update(self, window: HeadingWindow) -> AlarmEvent | None:
         """Score one window; return the alarm it raised, if any."""
         if self._last_index is not None and window.index <= self._last_index:
-            raise ValueError(
-                f"out-of-order window index {window.index} after {self._last_index}")
+            raise ValueError(f"flight {window.flight_id}: out-of-order window index "
+                             f"{window.index} after {self._last_index}")
         self._last_index = window.index
         if not self.flight_id:
             self.flight_id = window.flight_id
-        loss = mse_loss(window.values, self.model.forward(window.values, mode="infer"))
+        # scored by the call calibration fits the threshold with
+        loss = float(self.model.reconstruction_losses(window.values[None, :])[0])
         self._recent.append(loss)
         self._indices.append(window.index)
         self._times.append(window.end)
         self._losses.append(loss)
         if len(self._recent) >= self.config.n_consecutive:
             mean = sum(self._recent) / len(self._recent)
-            if mean > self.config.threshold:
+            if not mean <= self.config.threshold:  # a NaN mean alarms too
                 alarm = AlarmEvent(window_index=window.index, timestamp=window.end,
                                    loss=loss, rolling_mean_loss=mean)
                 self._alarms.append(alarm)

@@ -13,9 +13,10 @@ import csv
 import io
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, ContextManager, Iterable, Mapping
 
 CHANNELS = ("desired", "safe", "position")
 SAFETY_LABELS = ("safe", "unsafe")
@@ -130,11 +131,11 @@ class FlightLabels:
             raise ValidationError(f"unknown certainty label {self.certainty!r}")
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Return (stream, should_close) for a path or an already-open text stream."""
+def open_text(source, mode: str = "r") -> ContextManager[IO[str]]:
+    """Context manager: a path is opened and closed, an open stream left open."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+        return open(source, mode, encoding="utf-8", newline="")
+    return nullcontext(source)
 
 
 def _parse_float(token: str, line_no: int, column: str) -> float:
@@ -152,8 +153,7 @@ def parse_flight_log(source, *, flight_id: str, test_id: str = "",
     :class:`ValidationError` for invariant violations such as out-of-range
     headings, non-monotone timestamps, or an empty safe channel.
     """
-    stream, close = _open_text(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -179,9 +179,6 @@ def parse_flight_log(source, *, flight_id: str, test_id: str = "",
                 raise ValidationError(f"line {line_no}: {exc}") from None
         return FlightLog(flight_id=flight_id, records=tuple(records),
                          test_id=test_id, execution_index=execution_index)
-    finally:
-        if close:
-            stream.close()
 
 
 def serialize_flight_log(log: FlightLog) -> str:
@@ -201,15 +198,11 @@ def write_flight_log(log: FlightLog, path) -> None:
 
 def parse_obstacles(source) -> list[ObstacleBox]:
     """Parse a JSON array of obstacle boxes (possibly empty)."""
-    stream, close = _open_text(source)
-    try:
+    with open_text(source) as stream:
         try:
             doc = json.load(stream)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed obstacle JSON: {exc}") from None
-    finally:
-        if close:
-            stream.close()
     if not isinstance(doc, list):
         raise ParseError("obstacle document must be a JSON array")
     boxes = []
@@ -242,8 +235,7 @@ def parse_labels(source) -> dict[str, FlightLabels]:
 
     Duplicate flight ids and unknown label tokens raise ValidationError.
     """
-    stream, close = _open_text(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -265,9 +257,6 @@ def parse_labels(source) -> dict[str, FlightLabels]:
             except ValidationError as exc:
                 raise ValidationError(f"line {line_no}: {exc}") from None
         return labels
-    finally:
-        if close:
-            stream.close()
 
 
 def write_labels(labels: Mapping[str, FlightLabels] | Iterable[FlightLabels], path) -> None:

@@ -11,15 +11,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .flightdata import FlightLabels, FlightLog, ObstacleBox
+from .flightdata import FlightLabels, FlightLog, ObstacleBox, open_text
 from .geometry import DistanceTrace, min_obstacle_distance, trajectory_from_log
 
 _EPS = 1e-9
+WINDOWS_CSV_FIXED = ("flight_id", "index", "start_s", "end_s", "win_dist_m",
+                     "min_dist_m", "safety", "certainty")
 
 
 @dataclass(frozen=True)
@@ -233,52 +234,68 @@ def write_windows_csv(windows: Sequence[HeadingWindow], target, *,
         w = window_samples
     else:
         raise ValueError("window_samples is required to write an empty dataset")
-    stream, close = (open(target, "w", encoding="utf-8", newline=""), True) \
-        if isinstance(target, (str, Path)) else (target, False)
-    try:
+    with open_text(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["flight_id", "index", "start_s", "end_s", "win_dist_m",
-                         "min_dist_m", "safety", "certainty"]
-                        + [f"v{k}" for k in range(w)])
+        writer.writerow(list(WINDOWS_CSV_FIXED) + [f"v{k}" for k in range(w)])
         for win in windows:
             writer.writerow([win.flight_id, win.index, _fmt(win.start), _fmt(win.end),
                              _fmt(win.win_dist), _fmt(win.min_dist),
                              win.safety or "", win.certainty or ""]
                             + [_fmt(v) for v in win.values])
-    finally:
-        if close:
-            stream.close()
+
+
+def windows_csv_width(header: Sequence[str] | None) -> int:
+    """Samples per window named by a windowed-dataset header (else ValueError)."""
+    if header is None:
+        raise ValueError("empty windowed dataset")
+    if (tuple(header[:8]) != WINDOWS_CSV_FIXED
+            or any(not h.startswith("v") for h in header[8:])):
+        raise ValueError(f"bad windowed dataset header: {header!r}")
+    return len(header) - 8
+
+
+def parse_window_row(row: Sequence[str], width: int) -> HeadingWindow:
+    """One windowed-dataset row of ``8 + width`` fields as a window."""
+    if len(row) != 8 + width:
+        raise ValueError(f"expected {8 + width} fields, got {len(row)}")
+    return HeadingWindow(
+        flight_id=row[0], index=int(row[1]), start=float(row[2]),
+        end=float(row[3]), values=np.array([float(v) for v in row[8:]]),
+        win_dist=float(row[4]), min_dist=float(row[5]),
+        safety=row[6] or None, certainty=row[7] or None)
 
 
 def read_windows_csv(source) -> list[HeadingWindow]:
     """Read a windowed dataset written by :func:`write_windows_csv`."""
-    stream, close = (open(source, "r", encoding="utf-8", newline=""), True) \
-        if isinstance(source, (str, Path)) else (source, False)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty windowed dataset")
-        fixed = ["flight_id", "index", "start_s", "end_s", "win_dist_m",
-                 "min_dist_m", "safety", "certainty"]
-        if header[:8] != fixed or any(not h.startswith("v") for h in header[8:]):
-            raise ValueError(f"bad windowed dataset header: {header!r}")
-        w = len(header) - 8
-        windows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 8 + w:
-                raise ValueError(f"expected {8 + w} fields, got {len(row)}")
-            windows.append(HeadingWindow(
-                flight_id=row[0], index=int(row[1]), start=float(row[2]),
-                end=float(row[3]), values=np.array([float(v) for v in row[8:]]),
-                win_dist=float(row[4]), min_dist=float(row[5]),
-                safety=row[6] or None, certainty=row[7] or None))
-        return windows
-    finally:
-        if close:
-            stream.close()
+        width = windows_csv_width(next(reader, None))
+        return [parse_window_row(row, width) for row in reader if row]
+
+
+def config_from_windows(windows: Sequence[HeadingWindow], *,
+                        nominal_distance: float = 3.0,
+                        nominal_lookahead: float = 50.0) -> PreprocessConfig:
+    """The window geometry a windowed dataset was cut with.
+
+    Sample count and window length come from the first window; the stride
+    from the first two adjacent windows of one flight with consecutive
+    indices, which every other such pair must match (else ValueError).
+    """
+    strides = [b.start - a.start for a, b in zip(windows, windows[1:])
+               if a.flight_id == b.flight_id and b.index == a.index + 1]
+    if not strides:
+        raise ValueError("cannot read the window stride: no two adjacent windows "
+                         "of one flight have consecutive indices")
+    stride = strides[0]
+    if max(abs(s - stride) for s in strides) > _EPS:
+        raise ValueError(f"inconsistent window stride: {min(strides)!r} to {max(strides)!r}")
+    first = windows[0]
+    window_length = first.end - first.start
+    return PreprocessConfig(
+        window_length=window_length, overlap=window_length - stride,
+        sample_rate=len(first.values) / window_length,
+        nominal_distance=nominal_distance, nominal_lookahead=nominal_lookahead)
 
 
 def attach_labels(windows: Sequence[HeadingWindow],

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flightwatch import autoenc
 from flightwatch.cli import main
 from flightwatch.detector import read_report
 from flightwatch.preprocess import read_windows_csv
@@ -225,6 +226,73 @@ class TestDetect:
             "--windows", pre / "windows.csv", "--out", batch_out)
         batch_lines = (batch_out / "alarms.csv").read_text().splitlines()
         assert sorted(out_lines[1:]) == sorted(batch_lines[1:])
+
+    def _stream(self, synth_dirs, monkeypatch, capsys, lines, *extra):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        rc = run("detect", "--model", synth_dirs["calibrated"], "--stream", *extra)
+        captured = capsys.readouterr()
+        return rc, captured.out.splitlines(), captured.err.splitlines()
+
+    def test_stream_isolates_bad_rows_and_flights(self, synth_dirs, monkeypatch, capsys):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        by_flight = {}
+        for line in lines[1:]:
+            by_flight.setdefault(line.split(",", 1)[0], []).append(line)
+        fid_a, fid_b = sorted(by_flight)[:2]
+        rows_a, rows_b = by_flight[fid_a][:6], by_flight[fid_b][:6]
+        fields = rows_a[1].split(",")
+        fields[12] = "not-a-number"
+        rows_a[1] = ",".join(fields)                     # unparsable value
+        rows_b[2] = rows_b[2].rsplit(",", 3)[0]          # short row
+        stream = [lines[0]] + rows_a + rows_b + [by_flight[fid_a][0]]  # out of order
+        rc, out, err = self._stream(synth_dirs, monkeypatch, capsys, stream,
+                                    "--threshold", "1e-6")
+        assert rc == 1
+        assert err == [
+            "error: row 3: could not convert string to float: 'not-a-number'",
+            "error: row 10: expected 33 fields, got 30",
+            f"error: row 14: flight {fid_a}: out-of-order window index 0 after 5"]
+        alarmed = [line.split(",")[:2] for line in out[1:]]
+        # four scored windows fill the rolling mean; every later one alarms
+        assert alarmed == [[fid_a, "4"], [fid_a, "5"], [fid_b, "4"], [fid_b, "5"]]
+
+    @pytest.mark.parametrize("header, message", [
+        ("flight,index,start_s", "bad windowed dataset header"),
+        ("flight_id,index,start_s,end_s,win_dist_m,min_dist_m,safety,certainty,v0,v1",
+         "stream windows have 2 samples, the model expects 25"),
+    ])
+    def test_stream_bad_header_exits_2(self, synth_dirs, monkeypatch, capsys,
+                                       header, message):
+        rc, out, err = self._stream(synth_dirs, monkeypatch, capsys,
+                                    [header, "a,0,0.0"])
+        assert rc == 2 and out == []
+        assert err[-1].startswith(f"error: {message}")
+
+    def test_uncalibrated_model_is_flagged(self, synth_dirs, tmp_path, capsys):
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["model"],
+                   "--windows", synth_dirs["pre"] / "windows.csv", "--out", out) == 0
+        assert "no calibrated threshold" in capsys.readouterr().err
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["threshold_calibrated"] is False
+        out2 = tmp_path / "det2"
+        assert run("detect", "--model", synth_dirs["calibrated"],
+                   "--windows", synth_dirs["pre"] / "windows.csv", "--out", out2) == 0
+        assert "warning" not in capsys.readouterr().err
+        manifest = json.loads((out2 / "run_manifest.json").read_text())
+        assert manifest["threshold_calibrated"] is True
+
+    def test_logs_need_model_geometry(self, synth_dirs, tmp_path, capsys):
+        model = autoenc.load_model(synth_dirs["calibrated"])
+        model.window_length = model.overlap = model.sample_rate = None
+        bare = tmp_path / "bare.json"
+        autoenc.save_model(model, bare)
+        held = synth_dirs["held"]
+        assert run("detect", "--model", bare, "--logs", held / "logs",
+                   "--out", tmp_path / "det") == 2
+        assert "window geometry" in capsys.readouterr().err
+        assert run("detect", "--model", bare, "--windows",
+                   synth_dirs["pre"] / "windows.csv", "--out", tmp_path / "det2") == 0
 
 
 @pytest.fixture(scope="module")

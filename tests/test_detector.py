@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flightwatch.autoenc import AutoencoderModel
+from flightwatch.autoenc import AutoencoderModel, mse_loss
 from flightwatch.detector import (
     AlarmEvent,
     DetectionReport,
@@ -30,8 +32,9 @@ class _FixedLossModel:
 
     input_length = 25
 
-    def forward(self, values, mode="infer", rng=None):
-        return np.zeros_like(np.asarray(values, dtype=float))
+    def reconstruction_losses(self, windows, batch_size=1024):
+        x = np.asarray(windows, dtype=float)
+        return np.mean(x ** 2, axis=1)
 
 
 def _windows_from_losses(losses, flight_id="f"):
@@ -146,6 +149,42 @@ class TestDetectStream:
         report = _detect([0.01, 0.04, 0.09])
         assert list(report.losses) == pytest.approx([0.01, 0.04, 0.09])
         assert list(report.window_indices) == [0, 1, 2]
+
+    def test_nan_losses_do_not_suppress_alarms(self):
+        losses = [322.0] * 10
+        clean = _detect(losses, threshold=19.6, n=4)
+        assert len(clean.alarms) == 7
+        for i in (1, 4, 7, 9):
+            losses[i] = math.nan
+        poisoned = _detect(losses, threshold=19.6, n=4)
+        assert [a.window_index for a in poisoned.alarms] \
+            == [a.window_index for a in clean.alarms]
+
+
+_LOSS = st.floats(min_value=0.0, max_value=1.0)
+_BAD = st.sampled_from([math.nan, math.inf])
+
+
+class TestNonFiniteProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(losses=st.lists(_LOSS, min_size=1, max_size=20), data=st.data())
+    def test_non_finite_never_lowers_alarm_count(self, losses, data):
+        hit = data.draw(st.sets(st.integers(0, len(losses) - 1)))
+        poisoned = [data.draw(_BAD) if i in hit else v for i, v in enumerate(losses)]
+        assert len(_detect(poisoned).alarms) >= len(_detect(losses).alarms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(losses=st.lists(st.one_of(_LOSS, _BAD), max_size=20),
+           n=st.integers(1, 5))
+    def test_stream_detector_equals_detect_stream(self, losses, n):
+        config = DetectorConfig(threshold=0.3, n_consecutive=n)
+        wins = _windows_from_losses(losses)
+        det = StreamDetector(_FixedLossModel(), config)
+        alarms = [det.update(w) for w in wins]
+        report = detect_stream(_FixedLossModel(), wins, config)
+        # repr compares NaN losses too
+        assert repr(det.report()) == repr(report)
+        assert repr([a for a in alarms if a is not None]) == repr(list(report.alarms))
 
 
 class TestLeadTime:
@@ -266,6 +305,24 @@ class TestModelIntegration:
         report = detect_stream(model, wins, config)
         batch = model.reconstruction_losses(wins)
         assert np.allclose(report.losses, batch, atol=1e-12)
+
+    def test_real_model_stream_equals_detect_stream_exactly(self):
+        model = AutoencoderModel(input_length=25, seed=3)
+        rng = np.random.default_rng(11)
+        wins = [HeadingWindow("f", i, 2.5 * i, 2.5 * i + 5,
+                              rng.normal(0, 5, size=25)) for i in range(40)]
+        config = DetectorConfig(threshold=float(np.median(
+            model.reconstruction_losses(wins))))
+        det = StreamDetector(model, config, "f")
+        for w in wins:
+            det.update(w)
+        report = detect_stream(model, wins, config, "f")
+        assert report.alarms and len(report.alarms) < len(wins) - 3
+        assert det.report().losses == report.losses
+        assert det.report().alarms == report.alarms
+        # one-row scoring gives the bits the forward-then-MSE path gave
+        assert list(report.losses) == [
+            mse_loss(w.values, model.forward(w.values)) for w in wins]
 
     def test_config_from_model(self):
         model = AutoencoderModel(input_length=25, seed=0)

@@ -10,12 +10,15 @@ from flightwatch.preprocess import (
     HeadingWindow,
     PreprocessConfig,
     attach_labels,
+    config_from_windows,
     filter_nominal,
     filter_nominal_from_windows,
     make_windows,
+    parse_window_row,
     read_windows_csv,
     resample_uniform,
     unwrap_heading,
+    windows_csv_width,
     write_windows_csv,
 )
 
@@ -241,6 +244,64 @@ class TestWindowsCsv:
             write_windows_csv([], buf)
         write_windows_csv([], buf, window_samples=25)
         assert read_windows_csv(io.StringIO(buf.getvalue())) == []
+
+    def test_header_check(self):
+        header = ["flight_id", "index", "start_s", "end_s", "win_dist_m",
+                  "min_dist_m", "safety", "certainty", "v0", "v1", "v2", "v3"]
+        assert windows_csv_width(header) == 4
+        for bad in (header[1:], header[:8] + ["x0"], None):
+            with pytest.raises(ValueError):
+                windows_csv_width(bad)
+
+    def test_row_parse_errors(self):
+        row = ["f", "0", "0.0", "5.0", "inf", "inf", "", "", "1", "2", "3", "4"]
+        win = parse_window_row(row, 4)
+        assert win.safety is None and list(win.values) == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError, match="expected 12 fields, got 11"):
+            parse_window_row(row[:-1], 4)
+        with pytest.raises(ValueError, match="expected 12 fields, got 13"):
+            parse_window_row(row + ["5"], 4)
+        with pytest.raises(ValueError):
+            parse_window_row(row[:8] + ["1", "x", "3", "4"], 4)
+
+
+def _two_flights(config):
+    t = _uniform_series(30.0, rate=config.sample_rate)
+    rng = np.random.default_rng(3)
+    return [w for fid in ("a", "b")
+            for w in make_windows(t, rng.normal(0, 10, t.size), config, flight_id=fid)]
+
+
+class TestConfigFromWindows:
+    @pytest.mark.parametrize("config", [
+        PreprocessConfig(),
+        PreprocessConfig(window_length=4.0, overlap=1.0, sample_rate=2.0),
+        PreprocessConfig(window_length=3.0, overlap=2.9, sample_rate=10.0),
+    ])
+    def test_round_trips_through_windows_csv(self, config):
+        buf = io.StringIO()
+        write_windows_csv(_two_flights(config), buf)
+        got = config_from_windows(read_windows_csv(io.StringIO(buf.getvalue())),
+                                  nominal_distance=1.5, nominal_lookahead=20.0)
+        assert got.window_samples == config.window_samples
+        assert got.window_length == pytest.approx(config.window_length, abs=1e-9)
+        assert got.overlap == pytest.approx(config.overlap, abs=1e-9)
+        assert got.sample_rate == pytest.approx(config.sample_rate, abs=1e-9)
+        assert (got.nominal_distance, got.nominal_lookahead) == (1.5, 20.0)
+
+    def test_inconsistent_stride_is_error(self):
+        wins = _two_flights(CFG)
+        late = wins[3]
+        wins[3] = HeadingWindow(late.flight_id, late.index, late.start + 0.2,
+                                late.end + 0.2, late.values)
+        with pytest.raises(ValueError, match="inconsistent window stride"):
+            config_from_windows(wins)
+
+    def test_no_adjacent_pair_is_error(self):
+        wins = _two_flights(CFG)
+        for lonely in ([], wins[:1], wins[::2], [wins[0], wins[-1]]):
+            with pytest.raises(ValueError, match="stride"):
+                config_from_windows(lonely)
 
 
 class TestAttachLabels:
