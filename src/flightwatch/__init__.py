@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .flightdata import (
     FlightLabels,
     FlightLog,
-    LogRecord,
     ObstacleBox,
     ParseError,
     ValidationError,

@@ -8,8 +8,9 @@ exits 1 iff some items failed and the rest were processed (a flight, or a
 input.  All numeric defaults are overridable by flags or by a flat key-value
 JSON config file (flag names with underscores); explicit flags win over the
 config file.  Window geometry is read from windows.csv by train and calibrate
-and from the model by ``detect --log/--logs``, never guessed.  ``detect``
-warns when no calibrated threshold is given and records it in its manifest.
+and from the model by ``detect``, never guessed (``--windows/--stream`` reject
+windows of another length).  ``detect`` warns when no calibrated threshold is
+given and records it in its manifest.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def cmd_detect(args) -> int:
     elif args.windows:
         inputs = [args.windows]
         by_flight: dict[str, list] = {}
-        for w in preprocess.read_windows_csv(args.windows):
+        for w in preprocess.read_windows_csv(args.windows, model.window_length):
             by_flight.setdefault(w.flight_id, []).append(w)
         for fid in sorted(by_flight):
             try:
@@ -276,20 +277,17 @@ def _detect_stream_stdin(model, det_config) -> int:
             if not row:
                 continue
             try:
-                win = preprocess.parse_window_row(row, width)
-                det = detectors.get(win.flight_id)
-                if det is None:
-                    det = detector.StreamDetector(model, det_config, win.flight_id)
-                    detectors[win.flight_id] = det
-                alarm = det.update(win)
+                win = preprocess.parse_window_row(row, width, model.window_length)
+                if win.flight_id not in detectors:
+                    detectors[win.flight_id] = detector.StreamDetector(
+                        model, det_config, win.flight_id)
+                alarm = detectors[win.flight_id].update(win)
             except ValueError as exc:
                 skipped += 1
                 print(f"error: row {reader.line_num}: {exc}", file=sys.stderr)
                 continue
             if alarm is not None:
-                writer.writerow([win.flight_id, alarm.window_index,
-                                 repr(alarm.timestamp), repr(alarm.loss),
-                                 repr(alarm.rolling_mean_loss)])
+                writer.writerow(detector.alarm_row(win.flight_id, alarm))
                 sys.stdout.flush()
     except BrokenPipeError:
         # the consumer went away (e.g. piped into head); leave quietly and

@@ -281,7 +281,11 @@ def alarms_csv(reports: Iterable[DetectionReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ALARMS_CSV_HEADER)
     for rep in sorted(reports, key=lambda r: r.flight_id):
-        for a in rep.alarms:
-            writer.writerow([rep.flight_id, a.window_index, repr(a.timestamp),
-                             repr(a.loss), repr(a.rolling_mean_loss)])
+        writer.writerows(alarm_row(rep.flight_id, a) for a in rep.alarms)
     return buf.getvalue()
+
+
+def alarm_row(flight_id: str, alarm: AlarmEvent) -> list:
+    """One row of the alarm table, under :data:`ALARMS_CSV_HEADER`."""
+    return [flight_id, alarm.window_index, repr(alarm.timestamp),
+            repr(alarm.loss), repr(alarm.rolling_mean_loss)]

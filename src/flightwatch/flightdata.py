@@ -3,20 +3,22 @@
 A flight log is a flat CSV of time-stamped records on three channels:
 ``desired`` waypoints planned by the autopilot, ``safe`` waypoints issued by
 the obstacle-avoidance module (the detector's sole input), and the ``position``
-channel holding the actual flight trajectory.  Obstacle layouts are JSON,
-ground-truth labels a small CSV.  All types are immutable after construction.
+channel holding the actual flight trajectory.  A log is held as one read-only
+NumPy record array per flight, checked by whole-array tests.  Obstacle layouts
+are JSON, ground-truth labels a small CSV.  All types are immutable.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, ContextManager, Iterable, Mapping
+
+import numpy as np
 
 CHANNELS = ("desired", "safe", "position")
 SAFETY_LABELS = ("safe", "unsafe")
@@ -34,69 +36,77 @@ class ValidationError(ValueError):
     """A well-formed document whose content violates a domain invariant."""
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One time-stamped sample on a single channel.
-
-    ``timestamp`` is seconds since flight start; ``r`` is the heading angle in
-    degrees, raw (pre-unwrap) range [-180, 180].
-    """
-
-    timestamp: float
-    channel: str
-    x: float
-    y: float
-    z: float
-    r: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValidationError(f"timestamp must be finite and >= 0, got {self.timestamp}")
-        if self.channel not in CHANNELS:
-            raise ValidationError(f"unknown channel {self.channel!r}, expected one of {CHANNELS}")
-        for name in ("x", "y", "z", "r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"non-finite value for {name}")
-        if not -180.0 <= self.r <= 180.0:
-            raise ValidationError(f"heading r={self.r} outside raw range [-180, 180]")
+RECORD_DTYPE = np.dtype([("timestamp", float), ("channel", "U8"), ("x", float),
+                         ("y", float), ("z", float), ("r", float)])
 
 
-@dataclass(frozen=True)
+class _RecordError(ValidationError):
+    """A ValidationError naming the record (file-order index) at fault."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"record {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
+def _check_records(records: np.ndarray) -> None:
+    """Raise for the first faulty record in file order, else for an empty safe channel."""
+    ts, channel = records["timestamp"], records["channel"]
+    # stably sorted by channel, each channel's rows keep file order
+    order = np.argsort(channel, kind="stable")
+    same = channel[order[1:]] == channel[order[:-1]]
+    prev = np.full(ts.shape, -np.inf)
+    prev[order[1:][same]] = ts[order[:-1][same]]
+    faults = (
+        (~(np.isfinite(ts) & (ts >= 0)), "timestamp must be finite and >= 0, got {timestamp}"),
+        (~np.isin(channel, CHANNELS),
+         f"unknown channel {{channel!r}}, expected one of {CHANNELS}"),
+        *((~np.isfinite(records[n]), f"non-finite value for {n}") for n in ("x", "y", "z", "r")),
+        (np.abs(records["r"]) > 180.0, "heading r={r} outside raw range [-180, 180]"),
+        (ts <= prev, "non-monotone timestamps on channel {channel!r}: {timestamp} after {prev}"),
+    )
+    faulty = np.flatnonzero(np.logical_or.reduce([bad for bad, _ in faults]))
+    if faulty.size:
+        i = int(faulty[0])
+        reason = next(msg for bad, msg in faults if bad[i])
+        fields = dict(zip(records.dtype.names, records[i].tolist()), prev=prev[i])
+        raise _RecordError(i, reason.format(**fields))
+    if not np.any(channel == "safe"):
+        raise ValidationError("safe channel is empty (it is the detector's sole input)")
+
+
+# compared and hashed by identity: an array comparison has no single truth value
+@dataclass(frozen=True, eq=False)
 class FlightLog:
     """All records of one flight, with identity metadata.
 
-    Records keep file order; per-channel views are available through
-    :meth:`channel`.  The safe channel must be non-empty and timestamps within
-    each channel must be strictly increasing.
+    ``records`` is one read-only structured array of :data:`RECORD_DTYPE` in
+    file order (built from any array with its field names): ``timestamp`` is
+    seconds since flight start, ``r`` the raw heading in degrees.  Every value
+    is finite, timestamps are >= 0 and strictly increase within each channel,
+    headings lie in [-180, 180], and the safe channel is non-empty.
     """
 
     flight_id: str
-    records: tuple[LogRecord, ...]
+    records: np.ndarray
     test_id: str = ""
     execution_index: int = 0
 
     def __post_init__(self):
         if self.execution_index < 0:
             raise ValidationError("execution_index must be >= 0")
-        object.__setattr__(self, "records", tuple(self.records))
-        for name in CHANNELS:
-            prev = None
-            for rec in self.records:
-                if rec.channel != name:
-                    continue
-                if prev is not None and rec.timestamp <= prev:
-                    raise ValidationError(
-                        f"non-monotone timestamps on channel {name!r}: "
-                        f"{rec.timestamp} after {prev}"
-                    )
-                prev = rec.timestamp
-        if not any(r.channel == "safe" for r in self.records):
-            raise ValidationError("safe channel is empty (it is the detector's sole input)")
+        records = np.asarray(self.records)
+        if records.ndim != 1 or records.dtype.names != RECORD_DTYPE.names:
+            raise ValidationError(f"records must be 1-D with fields {RECORD_DTYPE.names}")
+        _check_records(records)
+        records = records.astype(RECORD_DTYPE)
+        records.setflags(write=False)
+        object.__setattr__(self, "records", records)
 
-    def channel(self, name: str) -> tuple[LogRecord, ...]:
+    def channel(self, name: str) -> np.ndarray:
+        """The records of one channel, in file order."""
         if name not in CHANNELS:
             raise ValueError(f"unknown channel {name!r}")
-        return tuple(r for r in self.records if r.channel == name)
+        return self.records[self.records["channel"] == name]
 
 
 @dataclass(frozen=True)
@@ -138,58 +148,62 @@ def open_text(source, mode: str = "r") -> ContextManager[IO[str]]:
     return nullcontext(source)
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
+def _csv_rows(stream, header: tuple[str, ...]):
+    """(file line, row) for each non-empty row of a CSV with the given header."""
+    reader = csv.reader(stream)
     try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"line {line_no}: cannot parse {column}={token!r} as a number") from None
+        first = next(reader)
+    except StopIteration:
+        raise ParseError("empty document, expected header row") from None
+    if tuple(h.strip() for h in first) != header:
+        raise ParseError(f"bad header {first!r}, expected {','.join(header)}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+        yield line_no, row
 
 
 def parse_flight_log(source, *, flight_id: str, test_id: str = "",
                      execution_index: int = 0) -> FlightLog:
     """Parse one flight-log CSV into a validated :class:`FlightLog`.
 
-    Raises :class:`ParseError` for malformed rows (with line number) and
-    :class:`ValidationError` for invariant violations such as out-of-range
-    headings, non-monotone timestamps, or an empty safe channel.
+    Raises :class:`ParseError` for malformed rows and :class:`ValidationError`
+    for invariant violations such as out-of-range headings, non-monotone
+    timestamps, or an empty safe channel; both name the file line at fault.
     """
     with open_text(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty document, expected header row") from None
-        if tuple(h.strip() for h in header) != LOG_HEADER:
-            raise ParseError(f"bad header {header!r}, expected {','.join(LOG_HEADER)}")
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"line {line_no}: expected 6 fields, got {len(row)}")
-            ts = _parse_float(row[0], line_no, "timestamp_s")
-            channel = row[1].strip()
-            x = _parse_float(row[2], line_no, "x")
-            y = _parse_float(row[3], line_no, "y")
-            z = _parse_float(row[4], line_no, "z")
-            r = _parse_float(row[5], line_no, "r_deg")
+        numbered = list(_csv_rows(stream, LOG_HEADER))
+    columns = list(zip(*(row for _, row in numbered))) or [()] * 6
+    try:
+        ts, x, y, z, r = (np.array(columns[k], dtype=float) for k in (0, 2, 3, 4, 5))
+    except ValueError:  # find the first bad token in file order
+        for (line_no, row), k in itertools.product(numbered, (0, 2, 3, 4, 5)):
             try:
-                records.append(LogRecord(ts, channel, x, y, z, r))
-            except ValidationError as exc:
-                raise ValidationError(f"line {line_no}: {exc}") from None
-        return FlightLog(flight_id=flight_id, records=tuple(records),
+                float(row[k])
+            except ValueError:
+                raise ParseError(f"line {line_no}: cannot parse "
+                                 f"{LOG_HEADER[k]}={row[k]!r} as a number") from None
+        raise
+    if max(map(len, columns[1]), default=0) > 64:
+        # a garbled token must not set the width of every row's channel field
+        line_no, row = next((n, row) for n, row in numbered if len(row[1]) > 64)
+        raise ValidationError(f"line {line_no}: unknown channel {row[1][:64]!r}... (too long)")
+    channel = np.char.strip(np.array(columns[1], dtype=str))
+    records = np.rec.fromarrays([ts, channel, x, y, z, r], names=RECORD_DTYPE.names)
+    try:
+        return FlightLog(flight_id=flight_id, records=records,
                          test_id=test_id, execution_index=execution_index)
+    except _RecordError as exc:
+        raise ValidationError(f"line {numbered[exc.index][0]}: {exc.reason}") from None
 
 
 def serialize_flight_log(log: FlightLog) -> str:
-    """Inverse of :func:`parse_flight_log` up to numeric formatting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LOG_HEADER)
-    for rec in log.records:
-        writer.writerow([repr(rec.timestamp), rec.channel,
-                         repr(rec.x), repr(rec.y), repr(rec.z), repr(rec.r)])
-    return buf.getvalue()
+    """Inverse of :func:`parse_flight_log`; no field needs CSV quoting."""
+    return ",".join(LOG_HEADER) + "\n" + "".join(
+        f"{ts!r},{ch},{x!r},{y!r},{z!r},{r!r}\n"
+        for ts, ch, x, y, z, r in log.records.tolist())
 
 
 def write_flight_log(log: FlightLog, path) -> None:
@@ -236,19 +250,8 @@ def parse_labels(source) -> dict[str, FlightLabels]:
     Duplicate flight ids and unknown label tokens raise ValidationError.
     """
     with open_text(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty document, expected header row") from None
-        if tuple(h.strip() for h in header) != LABELS_HEADER:
-            raise ParseError(f"bad header {header!r}, expected {','.join(LABELS_HEADER)}")
         labels: dict[str, FlightLabels] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"line {line_no}: expected 3 fields, got {len(row)}")
+        for line_no, row in _csv_rows(stream, LABELS_HEADER):
             fid, safety, certainty = (tok.strip() for tok in row)
             if fid in labels:
                 raise ValidationError(f"line {line_no}: duplicate flight_id {fid!r}")
@@ -261,9 +264,7 @@ def parse_labels(source) -> dict[str, FlightLabels]:
 
 def write_labels(labels: Mapping[str, FlightLabels] | Iterable[FlightLabels], path) -> None:
     items = labels.values() if isinstance(labels, Mapping) else labels
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LABELS_HEADER)
-    for lab in items:
-        writer.writerow([lab.flight_id, lab.safety, lab.certainty])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    with open_text(path, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(LABELS_HEADER)
+        writer.writerows((lab.flight_id, lab.safety, lab.certainty) for lab in items)

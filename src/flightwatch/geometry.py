@@ -46,12 +46,10 @@ class Trajectory:
 
 def trajectory_from_log(log: FlightLog) -> Trajectory:
     """Build a Trajectory from a flight log's position channel."""
-    recs = log.channel("position")
-    if len(recs) < 2:
+    pos = log.channel("position")
+    if len(pos) < 2:
         raise ValueError(f"flight {log.flight_id!r}: position channel has fewer than 2 records")
-    ts = np.array([r.timestamp for r in recs])
-    pts = np.array([[r.x, r.y, r.z] for r in recs])
-    return Trajectory(ts, pts)
+    return Trajectory(pos["timestamp"], np.column_stack([pos["x"], pos["y"], pos["z"]]))
 
 
 @dataclass(frozen=True)

@@ -85,10 +85,7 @@ def unwrap_heading(values) -> np.ndarray:
     no consecutive difference larger than 180 in magnitude; the first element
     is unchanged.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return v.copy()
-    return np.unwrap(v, period=360.0)
+    return np.unwrap(np.asarray(values, dtype=float), period=360.0)
 
 
 def resample_uniform(timestamps, values, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -104,13 +101,6 @@ def resample_uniform(timestamps, values, rate: float) -> tuple[np.ndarray, np.nd
     n = int(math.floor((ts[-1] - ts[0]) * rate + _EPS)) + 1
     grid = ts[0] + np.arange(n) / rate
     return grid, np.interp(grid, ts, vs)
-
-
-def safe_heading_series(log: FlightLog) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (timestamps, raw heading) from a flight log's safe channel."""
-    recs = log.channel("safe")
-    return (np.array([r.timestamp for r in recs]),
-            np.array([r.r for r in recs]))
 
 
 def make_windows(timestamps, headings, config: PreprocessConfig, *,
@@ -207,10 +197,11 @@ def preprocess_flight(log: FlightLog, config: PreprocessConfig, *,
     Returns the windows plus the distance trace (None when no obstacles are
     given or the log has no usable position channel).
     """
-    ts, raw = safe_heading_series(log)
-    if ts.size < 2:
+    safe = log.channel("safe")
+    if safe.size < 2:
         raise ValueError(f"flight {log.flight_id!r}: safe channel has fewer than 2 records")
-    grid, headings = resample_uniform(ts, unwrap_heading(raw), config.sample_rate)
+    grid, headings = resample_uniform(safe["timestamp"], unwrap_heading(safe["r"]),
+                                      config.sample_rate)
     trace = None
     if obstacles is not None and len(log.channel("position")) >= 2:
         _, trace = min_obstacle_distance(trajectory_from_log(log), obstacles)
@@ -254,23 +245,34 @@ def windows_csv_width(header: Sequence[str] | None) -> int:
     return len(header) - 8
 
 
-def parse_window_row(row: Sequence[str], width: int) -> HeadingWindow:
-    """One windowed-dataset row of ``8 + width`` fields as a window."""
+def parse_window_row(row: Sequence[str], width: int,
+                     window_length: float | None = None) -> HeadingWindow:
+    """One windowed-dataset row of ``8 + width`` fields as a window whose
+    ``end - start`` matches ``window_length``, when given, within 1e-9."""
     if len(row) != 8 + width:
         raise ValueError(f"expected {8 + width} fields, got {len(row)}")
-    return HeadingWindow(
+    win = HeadingWindow(
         flight_id=row[0], index=int(row[1]), start=float(row[2]),
         end=float(row[3]), values=np.array([float(v) for v in row[8:]]),
         win_dist=float(row[4]), min_dist=float(row[5]),
         safety=row[6] or None, certainty=row[7] or None)
+    if window_length is not None and abs(win.end - win.start - window_length) > _EPS:
+        raise ValueError(f"window spans {win.end - win.start!r} s, expected {window_length!r} s")
+    return win
 
 
-def read_windows_csv(source) -> list[HeadingWindow]:
+def read_windows_csv(source, window_length: float | None = None) -> list[HeadingWindow]:
     """Read a windowed dataset written by :func:`write_windows_csv`."""
     with open_text(source) as stream:
         reader = csv.reader(stream)
         width = windows_csv_width(next(reader, None))
-        return [parse_window_row(row, width) for row in reader if row]
+        windows = []
+        for row in filter(None, reader):
+            try:
+                windows.append(parse_window_row(row, width, window_length))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        return windows
 
 
 def config_from_windows(windows: Sequence[HeadingWindow], *,

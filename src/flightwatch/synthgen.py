@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .flightdata import (FlightLabels, FlightLog, LogRecord, ObstacleBox,
+from .flightdata import (RECORD_DTYPE, FlightLabels, FlightLog, ObstacleBox,
                          write_flight_log, write_labels, write_obstacles)
 from .geometry import DistanceTrace
 
@@ -213,14 +213,11 @@ def _build_flight(index: int, flight_class: str, cfg: SynthConfig) -> SyntheticF
     x = -25.0 + 50.0 * t / cfg.flight_duration
     y = OBSTACLE.width / 2.0 + d
     flight_id = f"{flight_class}-{index:04d}"
-    records = []
-    for k in range(n):
-        records.append(LogRecord(float(t[k]), "safe",
-                                 float(x[k]), float(y[k]), _CRUISE_ALTITUDE, float(r[k])))
-    for k in range(n):
-        records.append(LogRecord(float(t[k]), "position",
-                                 float(x[k]), float(y[k]), _CRUISE_ALTITUDE, float(r[k])))
-    log = FlightLog(flight_id=flight_id, records=tuple(records),
+    records = np.rec.fromarrays(
+        [np.tile(t, 2), np.repeat(("safe", "position"), n), np.tile(x, 2),
+         np.tile(y, 2), np.full(2 * n, _CRUISE_ALTITUDE), np.tile(r, 2)],
+        names=RECORD_DTYPE.names)
+    log = FlightLog(flight_id=flight_id, records=records,
                     test_id=flight_class, execution_index=index)
     labels = FlightLabels(flight_id=flight_id,
                           safety="unsafe" if unsafe else "safe",
@@ -266,10 +263,10 @@ def write_dataset(dataset: SyntheticDataset, outdir) -> dict[str, Path]:
     for flight in dataset.flights:
         write_flight_log(flight.log, logs_dir / f"{flight.log.flight_id}.csv")
         trace = flight.distance_trace
-        lines = ["timestamp_s,distance_m"]
-        lines += [f"{ts!r},{dd!r}" for ts, dd in zip(trace.timestamps, trace.distances)]
+        rows = zip(trace.timestamps.tolist(), trace.distances.tolist())
         (dist_dir / f"{flight.log.flight_id}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8")
+            "timestamp_s,distance_m\n" + "".join(f"{t!r},{d!r}\n" for t, d in rows),
+            encoding="utf-8")
     write_labels([f.labels for f in dataset.flights], outdir / "labels.csv")
     write_obstacles(dataset.obstacles, outdir / "obstacles.json")
     truth = {

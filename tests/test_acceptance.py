@@ -331,7 +331,7 @@ def test_criterion_8_preprocessing_invariants():
         flight = generate(SynthConfig(seed=14, flight_duration=120.0),
                           {"uncertain_safe": 1}).flights[0]
         ts = flight.distance_trace.timestamps
-        raw = np.array([r.r for r in flight.log.channel("safe")])
+        raw = flight.log.channel("safe")["r"]
         shifted = wrap_heading(raw + offset)
         reports = []
         for headings in (raw, shifted):

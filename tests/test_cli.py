@@ -268,6 +268,25 @@ class TestDetect:
         assert rc == 2 and out == []
         assert err[-1].startswith(f"error: {message}")
 
+    def test_windows_of_another_length_are_rejected(self, synth_dirs, tmp_path,
+                                                    monkeypatch, capsys):
+        # 10 Hz x 2.5 s windows have the 25 samples of the 5 Hz x 5 s model
+        held = synth_dirs["held"]
+        pre = tmp_path / "pre"
+        assert run("preprocess", "--logs", held / "logs", "--rate-hz", "10",
+                   "--window-s", "2.5", "--overlap-s", "1.25", "--out", pre) == 0
+        capsys.readouterr()
+        assert run("detect", "--model", synth_dirs["calibrated"],
+                   "--windows", pre / "windows.csv", "--out", tmp_path / "det") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: line 2: window spans 2.5 s, expected 5.0 s")
+        lines = (pre / "windows.csv").read_text().splitlines()
+        good = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        rc, out, err = self._stream(synth_dirs, monkeypatch, capsys,
+                                    [lines[0], lines[1], good[1]], "--threshold", "1e-6")
+        assert rc == 1 and out == ["flight_id,window_index,timestamp_s,loss,rolling_mean"]
+        assert err == ["error: row 2: window spans 2.5 s, expected 5.0 s"]
+
     def test_uncalibrated_model_is_flagged(self, synth_dirs, tmp_path, capsys):
         out = tmp_path / "det"
         assert run("detect", "--model", synth_dirs["model"],

@@ -1,11 +1,16 @@
 import io
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flightwatch.flightdata import (
+    CHANNELS,
+    RECORD_DTYPE,
     FlightLabels,
     FlightLog,
-    LogRecord,
     ObstacleBox,
     ParseError,
     ValidationError,
@@ -19,6 +24,10 @@ from flightwatch.flightdata import (
 HEADER = "timestamp_s,channel,x,y,z,r_deg\n"
 
 
+def _records(*columns):
+    return np.rec.fromarrays(columns, names=RECORD_DTYPE.names)
+
+
 def _parse(body: str, **kw):
     kw.setdefault("flight_id", "f1")
     return parse_flight_log(io.StringIO(HEADER + body), **kw)
@@ -29,7 +38,7 @@ class TestParseFlightLog:
         log = _parse("0.0,safe,1.0,2.0,3.0,90.0\n")
         recs = log.channel("safe")
         assert len(recs) == 1
-        assert recs[0] == LogRecord(0.0, "safe", 1.0, 2.0, 3.0, 90.0)
+        assert recs[0].tolist() == (0.0, "safe", 1.0, 2.0, 3.0, 90.0)
 
     def test_heading_out_of_raw_range(self):
         with pytest.raises(ValidationError):
@@ -64,7 +73,7 @@ class TestParseFlightLog:
 
     def test_boundary_headings_accepted(self):
         log = _parse("0.0,safe,0,0,0,-180.0\n1.0,safe,0,0,0,180.0\n")
-        assert [r.r for r in log.channel("safe")] == [-180.0, 180.0]
+        assert log.channel("safe")["r"].tolist() == [-180.0, 180.0]
 
     def test_channels_independent_timelines(self):
         # same timestamps on different channels are fine
@@ -82,7 +91,7 @@ class TestRoundTrip:
                 "0.2,safe,1.0,2.0,3.0,12.3456789\n")
         log = _parse(body)
         again = parse_flight_log(io.StringIO(serialize_flight_log(log)), flight_id="f1")
-        assert again.records == log.records
+        assert np.array_equal(again.records, log.records)
 
     def test_channel_partition(self):
         body = "".join(f"{t / 10},{ch},0,0,0,{t}\n"
@@ -141,10 +150,163 @@ class TestLabels:
 
 class TestFlightLogInvariants:
     def test_negative_execution_index(self):
-        rec = LogRecord(0.0, "safe", 0, 0, 0, 0)
+        rec = _records([0.0], ["safe"], [0.0], [0.0], [0.0], [0.0])
         with pytest.raises(ValidationError):
-            FlightLog(flight_id="x", records=(rec,), execution_index=-1)
+            FlightLog(flight_id="x", records=rec, execution_index=-1)
 
     def test_identity_passthrough(self):
         log = _parse("0.0,safe,0,0,0,0\n", test_id="t9", execution_index=3)
         assert (log.flight_id, log.test_id, log.execution_index) == ("f1", "t9", 3)
+
+
+class TestColumnarLog:
+    def test_records_are_one_read_only_array(self):
+        log = _parse("0.0,safe,1,2,3,4\n0.0,position,5,6,7,8\n")
+        assert log.records.dtype == RECORD_DTYPE
+        assert not log.records.flags.writeable
+        with pytest.raises(ValueError):
+            log.records["x"][0] = 9.0
+
+    def test_logs_compare_and_hash_by_identity(self):
+        body = "0.0,safe,0,0,0,1\n0.2,safe,0,0,0,2\n"
+        log, twin = _parse(body), _parse(body)
+        assert log == log and log != twin
+        assert {log: 1, twin: 2}[log] == 1
+
+    def test_channel_is_mask_of_records(self):
+        log = _parse("0.0,safe,0,0,0,1\n0.0,position,0,0,0,2\n0.2,safe,0,0,0,3\n")
+        assert log.channel("safe")["r"].tolist() == [1.0, 3.0]
+        assert log.channel("position")["r"].tolist() == [2.0]
+        with pytest.raises(ValueError, match="unknown channel"):
+            log.channel("wind")
+
+    def test_long_channel_name_is_not_truncated(self):
+        # "positional" must not pass as the 8-character "position"
+        with pytest.raises(ValidationError, match="line 3: unknown channel 'positional'"):
+            _parse("0.0,safe,0,0,0,0\n0.0,positional,0,0,0,0\n")
+
+    def test_overlong_channel_token_is_rejected_by_line(self):
+        with pytest.raises(ValidationError, match="^line 4: unknown channel 'xxx"):
+            _parse("0.0,safe,0,0,0,0\n\n0.1," + "x" * 65 + ",0,0,0,0\n")
+
+    def test_direct_construction_names_the_record(self):
+        recs = _records([0.0, 0.1], ["safe"] * 2, [0.0] * 2, [0.0] * 2, [0.0] * 2, [0.0, 200.0])
+        with pytest.raises(ValidationError, match="record 1: heading r=200.0"):
+            FlightLog(flight_id="x", records=recs)
+
+    def test_rejects_an_unstructured_array(self):
+        with pytest.raises(ValidationError, match="fields"):
+            FlightLog(flight_id="x", records=np.zeros((2, 6)))
+
+
+def _row(**fields):
+    row = {"timestamp_s": "0.4", "channel": "safe", "x": "1", "y": "2", "z": "3",
+           "r_deg": "4"}
+    row.update(fields)
+    return ",".join(row[name] for name in HEADER.strip().split(",")) + "\n"
+
+
+# line 1 is the header and line 3 is blank, so the faulty line 5 is the 4th row
+def _with_fault_on_line_5(faulty_row: str) -> str:
+    return ("0.0,safe,0,0,0,0\n\n0.2,position,0,0,0,0\n" + faulty_row
+            + "0.6,safe,0,0,0,0\n")
+
+
+class TestFaultLineNumbers:
+    @pytest.mark.parametrize("field", ["timestamp_s", "x", "y", "z", "r_deg"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, field, token):
+        with pytest.raises(ValidationError, match=r"^line 5: .*(finite|non-finite)"):
+            _parse(_with_fault_on_line_5(_row(**{field: token})))
+
+    @pytest.mark.parametrize("heading", ["180.5", "-200", "1e9"])
+    def test_heading_out_of_range(self, heading):
+        with pytest.raises(ValidationError, match=r"^line 5: heading r="):
+            _parse(_with_fault_on_line_5(_row(r_deg=heading)))
+
+    @pytest.mark.parametrize("timestamp", ["0.0", "-0.0"])
+    def test_non_monotone_timestamp(self, timestamp):
+        # the safe channel's previous row (line 2) is at 0.0
+        with pytest.raises(ValidationError, match=r"^line 5: non-monotone"):
+            _parse(_with_fault_on_line_5(_row(timestamp_s=timestamp)))
+
+    def test_unparsable_token(self):
+        with pytest.raises(ParseError, match=r"^line 5: cannot parse y='north'"):
+            _parse(_with_fault_on_line_5(_row(y="north", r_deg="bogus")))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_records(draw):
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(CHANNELS), st.floats(1e-6, 1e3), _finite, _finite, _finite,
+        st.floats(-180.0, 180.0)), min_size=1, max_size=40))
+    rows[0] = ("safe",) + rows[0][1:]
+    clock = dict.fromkeys(CHANNELS, draw(st.floats(0.0, 1e3)))
+    timestamps = []
+    for channel, step, *_ in rows:
+        timestamps.append(clock[channel])
+        clock[channel] += step
+    channel, _, x, y, z, r = zip(*rows)
+    return _records(timestamps, channel, x, y, z, r)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_records())
+    def test_serialize_parse_serialize_is_byte_identical(self, records):
+        text = serialize_flight_log(FlightLog(flight_id="f", records=records))
+        again = parse_flight_log(io.StringIO(text), flight_id="f")
+        assert serialize_flight_log(again) == text
+        assert np.array_equal(again.records, records.astype(RECORD_DTYPE))
+
+
+def _first_faulty_record(rows):
+    """Reference: the record-by-record checks the vectorised validation replaces."""
+    last = {}
+    for i, (ts, channel, *xyzr) in enumerate(rows):
+        if (not (math.isfinite(ts) and ts >= 0) or channel not in CHANNELS
+                or not all(map(math.isfinite, xyzr)) or abs(xyzr[3]) > 180.0
+                or ts <= last.get(channel, -math.inf)):
+            return i
+        last[channel] = ts
+    return None
+
+
+# faulty values for each record field, in RECORD_DTYPE order
+_FAULTS = ([math.nan, math.inf, -1.0], ["wind", "positional"], *[[math.nan, -math.inf]] * 3,
+           [math.nan, math.inf, 180.5, -200.0])
+
+
+@st.composite
+def _records_with_faults(draw):
+    rows, clock = [], {}
+    for _ in range(draw(st.integers(1, 30))):
+        channel = draw(st.sampled_from(CHANNELS))
+        # steps <= 0 put a channel's timestamps out of order
+        clock[channel] = clock.get(channel, 0.0) + draw(st.floats(-1.0, 10.0))
+        row = [clock[channel], channel] + draw(st.lists(
+            st.floats(-180.0, 180.0), min_size=4, max_size=4))
+        if draw(st.integers(0, 9)) == 0:
+            k = draw(st.integers(0, 5))
+            row[k] = draw(st.sampled_from(_FAULTS[k]))
+        rows.append(tuple(row))
+    return rows
+
+
+class TestVectorisedValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(_records_with_faults())
+    def test_first_fault_matches_record_by_record_checks(self, rows):
+        records = _records(*zip(*rows))
+        expected = _first_faulty_record(rows)
+        if expected is not None:
+            with pytest.raises(ValidationError, match=rf"^record {expected}: "):
+                FlightLog(flight_id="f", records=records)
+        elif any(row[1] == "safe" for row in rows):
+            assert FlightLog(flight_id="f", records=records).records.size == len(rows)
+        else:
+            with pytest.raises(ValidationError, match="safe channel is empty"):
+                FlightLog(flight_id="f", records=records)

@@ -263,6 +263,21 @@ class TestWindowsCsv:
             parse_window_row(row + ["5"], 4)
         with pytest.raises(ValueError):
             parse_window_row(row[:8] + ["1", "x", "3", "4"], 4)
+        assert parse_window_row(row, 4, window_length=5.0 + 5e-10).end == 5.0
+        with pytest.raises(ValueError, match=r"^window spans 5.0 s, expected 2.5 s$"):
+            parse_window_row(row, 4, window_length=2.5)
+
+
+    def test_read_error_names_the_file_line(self):
+        t = _uniform_series(60.0)
+        wins = make_windows(t, np.zeros_like(t), CFG, flight_id="f")
+        buf = io.StringIO()
+        write_windows_csv(wins, buf)
+        lines = buf.getvalue().splitlines()
+        lines.insert(5, "")  # a blank line shifts every later row down one line
+        lines[20] = lines[20].rsplit(",", 3)[0]
+        with pytest.raises(ValueError, match=r"^line 21: expected 33 fields, got 30$"):
+            read_windows_csv(io.StringIO("\n".join(lines) + "\n"))
 
 
 def _two_flights(config):

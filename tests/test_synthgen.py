@@ -39,7 +39,7 @@ class TestGenerate:
         a = generate(SynthConfig(seed=9), COUNTS)
         b = generate(SynthConfig(seed=9), COUNTS)
         for fa, fb in zip(a.flights, b.flights):
-            assert fa.log.records == fb.log.records
+            assert np.array_equal(fa.log.records, fb.log.records)
             assert fa.profile == fb.profile
 
     def test_labels_match_distance_construction(self):
@@ -77,7 +77,7 @@ class TestGenerate:
         for f in ds.flights:
             t = f.distance_trace.timestamps
             expected = wrap_heading(heading_profile(t, f.profile))
-            got = np.array([r.r for r in f.log.channel("safe")])
+            got = f.log.channel("safe")["r"]
             assert np.array_equal(expected, got)
 
     def test_geometry_reproduces_constructed_distances(self):
@@ -90,7 +90,7 @@ class TestGenerate:
     def test_raw_headings_in_range(self):
         ds = generate(SynthConfig(seed=13), COUNTS)
         for f in ds.flights:
-            rs = np.array([r.r for r in f.log.channel("safe")])
+            rs = f.log.channel("safe")["r"]
             assert np.all(rs >= -180.0) and np.all(rs < 180.0)
 
     def test_duration_too_short_for_unsafe(self):
@@ -149,3 +149,14 @@ class TestWriteDataset:
         assert paths["labels"].exists() and paths["obstacles"].exists()
         n_dist = len(list(paths["distances"].glob("*.csv")))
         assert n_dist == sum(COUNTS.values())
+
+    def test_distance_files_hold_plain_floats(self, tmp_path):
+        ds = generate(SynthConfig(seed=4, flight_duration=60.0), COUNTS)
+        paths = write_dataset(ds, tmp_path)
+        for f in ds.flights:
+            lines = (paths["distances"] / f"{f.log.flight_id}.csv").read_text().splitlines()
+            assert lines[0] == "timestamp_s,distance_m"
+            rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+            ts, dist = np.array(rows).T
+            assert np.array_equal(ts, f.distance_trace.timestamps)
+            assert np.array_equal(dist, f.distance_trace.distances)
