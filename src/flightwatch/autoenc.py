@@ -3,6 +3,9 @@
 The encoder halves the sequence length twice with strided same-padded
 convolutions; the decoder mirrors it with transposed convolutions and a final
 linear reconstruction layer whose output is cropped back to the input length.
+Each transposed convolution is the adjoint of the encoder's correlation: both
+layers share one tap table and one im2col/col2im pair, with the roles of
+forward and backward swapped.
 Dropout is active only during training; inference is deterministic.  Training
 is bit-reproducible given the seed: weight init, shuffle order, and the
 dropout stream all come from one generator.
@@ -21,16 +24,47 @@ import numpy as np
 FORMAT_MAGIC = "flightwatch-model"
 FORMAT_VERSION = 1
 
+# Rows scored per product by reconstruction_losses.  Fixed, not a knob: under
+# OpenBLAS a window's loss bits depend on the size of the batch it is scored in.
+_SCORE_BATCH = 1024
+
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _same_pad(length: int, stride: int, kernel: int) -> tuple[int, int, int]:
-    """(output length, left pad, right pad) for same-padded strided convolution."""
+def _taps(length: int, stride: int, kernel: int):
+    """Same-padded strided correlation of a long axis of ``length`` samples with
+    a short one of ``out = ceil(length / stride)``: at kernel offset kk, short
+    position j pairs with long position j*s + kk - pl (pl the left padding).
+    Returns ``out`` and a ``(kk, short slice, long slice)`` per offset that
+    is not wholly padding."""
     out = _ceil_div(length, stride)
-    total = max((out - 1) * stride + kernel - length, 0)
-    return out, total // 2, total - total // 2
+    pl = max((out - 1) * stride + kernel - length, 0) // 2
+    taps = []
+    for kk in range(kernel):
+        j0 = max(0, _ceil_div(pl - kk, stride))
+        j1 = min(out - 1, (length - 1 - kk + pl) // stride)
+        if j0 <= j1:
+            p0 = j0 * stride + kk - pl
+            taps.append((kk, slice(j0, j1 + 1), slice(p0, p0 + (j1 - j0 + 1) * stride, stride)))
+    return out, taps
+
+
+def _gather(x: np.ndarray, kernel: int, out: int, taps) -> np.ndarray:
+    """im2col: (c, length, n) long signal to (c, kernel, out, n) columns."""
+    cols = np.zeros((x.shape[0], kernel, out, x.shape[2]))
+    for kk, short, long in taps:
+        cols[:, kk, short, :] = x[:, long, :]
+    return cols
+
+
+def _scatter(cols: np.ndarray, length: int, taps) -> np.ndarray:
+    """col2im, the adjoint of :func:`_gather`: columns summed back onto the long axis."""
+    x = np.zeros((cols.shape[0], length, cols.shape[3]))
+    for kk, short, long in taps:
+        x[:, long, :] += cols[:, kk, short, :]
+    return x
 
 
 class Conv1d:
@@ -38,6 +72,7 @@ class Conv1d:
 
     Activations flow through the network in channels-first, batch-last layout
     (channels, length, batch) so each layer is a single large matrix product.
+    ``w`` is (short-side channels, long-side channels, k).
     """
 
     kind = "conv"
@@ -48,150 +83,77 @@ class Conv1d:
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
+        shape = self._weight_shape()
         if rng is not None:
             limit = math.sqrt(6.0 / (in_channels * kernel_size))
-            self.w = rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size))
+            self.w = rng.uniform(-limit, limit, size=shape)
         else:
-            self.w = np.zeros((out_channels, in_channels, kernel_size))
+            self.w = np.zeros(shape)
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    def output_length(self, length: int) -> int:
-        return _same_pad(length, self.stride, self.kernel_size)[0]
+    def _weight_shape(self) -> tuple[int, int, int]:
+        return self.out_channels, self.in_channels, self.kernel_size
 
-    def _taps(self, length: int, out: int, pl: int):
-        """Per-kernel-offset aligned slices between input positions and output
-        positions, padding clipped away: output j reads input j*s + kk - pl."""
-        k, s = self.kernel_size, self.stride
-        taps = []
-        for kk in range(k):
-            j0 = max(0, _ceil_div(pl - kk, s))
-            j1 = min(out - 1, (length - 1 - kk + pl) // s)
-            if j0 > j1:
-                taps.append(None)
-                continue
-            p0 = j0 * s + kk - pl
-            count = j1 - j0 + 1
-            taps.append((slice(j0, j1 + 1), slice(p0, p0 + count * s, s)))
-        return taps
+    def output_length(self, length: int) -> int:
+        return _ceil_div(length, self.stride)
+
+    def _correlate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Long (c, length, n) to short, unbiased; also returns the im2col columns."""
+        out, taps = _taps(x.shape[1], self.stride, self.kernel_size)
+        flat = _gather(x, self.kernel_size, out, taps).reshape(-1, out * x.shape[2])
+        return flat, (self.w.reshape(len(self.w), -1) @ flat).reshape(-1, out, x.shape[2])
+
+    def _correlate_adjoint(self, y: np.ndarray, length: int) -> np.ndarray:
+        """Short (c, out, n) back onto a long axis of ``length`` samples."""
+        _, taps = _taps(length, self.stride, self.kernel_size)
+        cols = self.w.reshape(len(self.w), -1).T @ y.reshape(len(self.w), -1)
+        return _scatter(cols.reshape(self.w.shape[1], self.kernel_size, *y.shape[1:]),
+                        length, taps)
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        c, length, n = x.shape
-        k = self.kernel_size
-        out, pl, _ = _same_pad(length, self.stride, k)
-        cols = np.zeros((c, k, out, n))
-        taps = self._taps(length, out, pl)
-        for kk in range(k):
-            if taps[kk] is not None:
-                out_sl, in_sl = taps[kk]
-                cols[:, kk, out_sl, :] = x[:, in_sl, :]
-        flat = cols.reshape(c * k, out * n)
-        y = (self.w.reshape(self.out_channels, c * k) @ flat) \
-            .reshape(self.out_channels, out, n)
+        flat, y = self._correlate(x)
         y += self.b[:, None, None]
-        self._cache = (flat, length, pl, out)
+        self._cache = (flat, x.shape[1])
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        flat, length, pl, out = self._cache
-        c, k = self.in_channels, self.kernel_size
-        n = dy.shape[2]
-        dy2 = dy.reshape(self.out_channels, out * n)
-        self.dw = (dy2 @ flat.T).reshape(self.w.shape)
+        flat, length = self._cache
+        self.dw = (dy.reshape(self.out_channels, -1) @ flat.T).reshape(self.w.shape)
         self.db = dy.sum(axis=(1, 2))
-        dcols = (self.w.reshape(self.out_channels, c * k).T @ dy2) \
-            .reshape(c, k, out, n)
-        dx = np.zeros((c, length, n))
-        taps = self._taps(length, out, pl)
-        for kk in range(k):
-            if taps[kk] is not None:
-                out_sl, in_sl = taps[kk]
-                dx[:, in_sl, :] += dcols[:, kk, out_sl, :]
-        return dx
+        return self._correlate_adjoint(dy, length)
 
 
-class ConvTranspose1d:
-    """Same-padded strided 1D transposed convolution (output length = input * stride)."""
+class ConvTranspose1d(Conv1d):
+    """Same-padded strided 1D transposed convolution (output length = input * stride).
+
+    The adjoint of a :class:`Conv1d` from ``out_channels`` to ``in_channels``
+    over ``length * stride`` samples: forward is that convolution's input
+    gradient, backward its forward pass.  The weight layout (in, out, k) is
+    that convolution's own.
+    """
 
     kind = "conv_transpose"
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int, rng: np.random.Generator | None = None):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        if rng is not None:
-            limit = math.sqrt(6.0 / (in_channels * kernel_size))
-            self.w = rng.uniform(-limit, limit, size=(in_channels, out_channels, kernel_size))
-        else:
-            self.w = np.zeros((in_channels, out_channels, kernel_size))
-        self.b = np.zeros(out_channels)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
-        self._cache = None
+    def _weight_shape(self) -> tuple[int, int, int]:
+        return self.in_channels, self.out_channels, self.kernel_size
 
     def output_length(self, length: int) -> int:
         return length * self.stride
 
-    def _geometry(self, length: int) -> tuple[int, int, int]:
-        k, s = self.kernel_size, self.stride
-        out = length * s
-        full = (length - 1) * s + k
-        crop = max(full - out, 0)
-        return out, full, crop // 2
-
-    def _taps(self, length: int, out: int, pl: int):
-        """Aligned slices between input positions and output positions for each
-        kernel offset: input i writes output i*s + kk - pl, crop clipped away."""
-        k, s = self.kernel_size, self.stride
-        taps = []
-        for kk in range(k):
-            i0 = max(0, _ceil_div(pl - kk, s))
-            i1 = min(length - 1, (out - 1 - kk + pl) // s)
-            if i0 > i1:
-                taps.append(None)
-                continue
-            t0 = i0 * s + kk - pl
-            count = i1 - i0 + 1
-            taps.append((slice(i0, i1 + 1), slice(t0, t0 + count * s, s)))
-        return taps
-
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        c, length, n = x.shape
-        k = self.kernel_size
-        f = self.out_channels
-        out, _, pl = self._geometry(length)
-        u = (self.w.reshape(c, f * k).T @ x.reshape(c, length * n)) \
-            .reshape(f, k, length, n)
-        y = np.zeros((f, out, n))
-        taps = self._taps(length, out, pl)
-        for kk in range(k):
-            if taps[kk] is not None:
-                in_sl, out_sl = taps[kk]
-                y[:, out_sl, :] += u[:, kk, in_sl, :]
+        y = self._correlate_adjoint(x, self.output_length(x.shape[1]))
         y += self.b[:, None, None]
-        self._cache = (x, length)
+        self._cache = x
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, length = self._cache
-        c, f, k = self.in_channels, self.out_channels, self.kernel_size
-        n = dy.shape[2]
-        out, _, pl = self._geometry(length)
-        g = np.zeros((f, k, length, n))
-        taps = self._taps(length, out, pl)
-        for kk in range(k):
-            if taps[kk] is not None:
-                in_sl, out_sl = taps[kk]
-                g[:, kk, in_sl, :] = dy[:, out_sl, :]
-        g2 = g.reshape(f * k, length * n)
-        dx = (self.w.reshape(c, f * k) @ g2).reshape(c, length, n)
-        self.dw = (x.reshape(c, length * n) @ g2.T).reshape(self.w.shape)
+        flat, dx = self._correlate(dy)
+        self.dw = (self._cache.reshape(self.in_channels, -1) @ flat.T).reshape(self.w.shape)
         self.db = dy.sum(axis=(1, 2))
         return dx
 
@@ -355,14 +317,8 @@ class AutoencoderModel:
         if mode not in ("infer", "train"):
             raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
         x = np.asarray(values, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.input_length:
-            raise ValueError(
-                f"expected windows of length {self.input_length}, got shape {x.shape}")
-        y = self._run(x, train=(mode == "train"), rng=rng)
-        return y[0] if single else y
+        y = self._run(_window_matrix(x, self.input_length), train=(mode == "train"), rng=rng)
+        return y[0] if x.ndim == 1 else y
 
     def loss_and_grads(self, x: np.ndarray, *, train: bool = False,
                        rng: np.random.Generator | None = None) -> float:
@@ -377,14 +333,14 @@ class AutoencoderModel:
             h = layer.backward(h)
         return loss
 
-    def reconstruction_losses(self, windows, batch_size: int = 1024) -> np.ndarray:
+    def reconstruction_losses(self, windows) -> np.ndarray:
         """Per-window MSE reconstruction loss, inference mode."""
         x = _window_matrix(windows, self.input_length)
         losses = np.empty(x.shape[0])
-        for lo in range(0, x.shape[0], batch_size):
-            xb = x[lo:lo + batch_size]
+        for lo in range(0, x.shape[0], _SCORE_BATCH):
+            xb = x[lo:lo + _SCORE_BATCH]
             rb = self._run(xb, train=False, rng=None)
-            losses[lo:lo + batch_size] = np.mean((rb - xb) ** 2, axis=1)
+            losses[lo:lo + _SCORE_BATCH] = np.mean((rb - xb) ** 2, axis=1)
         return losses
 
 

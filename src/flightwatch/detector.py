@@ -143,7 +143,8 @@ def detect_stream(model: AutoencoderModel, windows: Iterable[HeadingWindow],
     return det.report()
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: an array comparison has no single truth value
+@dataclass(frozen=True, eq=False)
 class CalibrationResult:
     """Suggested threshold plus the loss histogram it was read from."""
 

@@ -17,7 +17,8 @@ import numpy as np
 from .flightdata import FlightLog, ObstacleBox
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: an array comparison has no single truth value
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-stamped 3D flight path derived from the position channel."""
 
@@ -52,7 +53,8 @@ def trajectory_from_log(log: FlightLog) -> Trajectory:
     return Trajectory(pos["timestamp"], np.column_stack([pos["x"], pos["y"], pos["z"]]))
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, as Trajectory
+@dataclass(frozen=True, eq=False)
 class DistanceTrace:
     """Per-timestamp obstacle distance along a flight, linearly interpolable."""
 

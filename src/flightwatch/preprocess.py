@@ -58,7 +58,8 @@ class PreprocessConfig:
         return self.window_length - self.overlap
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: an array comparison has no single truth value
+@dataclass(frozen=True, eq=False)
 class HeadingWindow:
     """One zero-centered heading window: a row of the windowed dataset."""
 

@@ -130,9 +130,10 @@ class TestGradients:
         x = np.random.default_rng(GRADCHECK_INPUT_SEED).normal(scale=2.0, size=(2, 25))
         assert gradcheck(m, x, h=1e-4) < 1e-4
 
-    def test_conv_layer_gradients(self):
+    @pytest.mark.parametrize("kernel", [2, 3, 4])
+    def test_conv_layer_gradients(self, kernel):
         rng = np.random.default_rng(4)
-        layer = Conv1d(2, 3, 3, 2, rng)
+        layer = Conv1d(2, 3, kernel, 2, rng)
         x = rng.normal(size=(2, 9, 2))
         r = rng.normal(size=layer.forward(x).shape)
         layer.forward(x)
@@ -149,10 +150,11 @@ class TestGradients:
             num = (lp - lm) / (2 * h)
             assert num == pytest.approx(dx.reshape(-1)[i], abs=1e-6, rel=1e-5)
 
-    def test_transpose_layer_gradients(self):
+    @pytest.mark.parametrize("kernel", [2, 3, 4])
+    def test_transpose_layer_gradients(self, kernel):
         rng = np.random.default_rng(6)
         for stride in (1, 2):
-            layer = ConvTranspose1d(2, 3, 3, stride, rng)
+            layer = ConvTranspose1d(2, 3, kernel, stride, rng)
             x = rng.normal(size=(2, 6, 2))
             r = rng.normal(size=layer.forward(x).shape)
             layer.forward(x)
@@ -168,6 +170,61 @@ class TestGradients:
                 flat[i] = orig
                 num = (lp - lm) / (2 * h)
                 assert num == pytest.approx(dx.reshape(-1)[i], abs=1e-6, rel=1e-5)
+
+
+class TestAdjoint:
+    """ConvTranspose1d(2, 3) is the adjoint of Conv1d(3, 2) over short * stride
+    samples when the two share one weight array.  Both biases start at zero, so
+    Conv1d.forward is the bare correlation."""
+
+    @staticmethod
+    def _pair(kernel, stride):
+        rng = np.random.default_rng(10 * kernel + stride)
+        conv = Conv1d(3, 2, kernel, stride, rng)
+        tconv = ConvTranspose1d(2, 3, kernel, stride)
+        tconv.w = conv.w
+        return conv, tconv, rng
+
+    @pytest.mark.parametrize("short", [6, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", range(1, 7))
+    def test_inner_products_agree(self, kernel, stride, short):
+        conv, tconv, rng = self._pair(kernel, stride)
+        x = rng.normal(size=(3, short * stride, 4))
+        y = rng.normal(size=(2, short, 4))
+        cx = conv.forward(x)
+        assert cx.shape == y.shape
+        assert np.vdot(cx, y) == pytest.approx(np.vdot(x, tconv.forward(y)),
+                                               rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", range(1, 7))
+    def test_transpose_backward_is_conv_forward(self, kernel, stride):
+        conv, tconv, rng = self._pair(kernel, stride)
+        tconv.b = rng.normal(size=3)  # the transposed layer's bias never reaches dx
+        x = rng.normal(size=(3, 7 * stride, 4))
+        y = rng.normal(size=(2, 7, 4))
+        tconv.forward(y)
+        dx = tconv.backward(x.copy())
+        conv.forward(x)
+        conv.backward(y.copy())
+        assert np.array_equal(dx, conv.forward(x))
+        assert np.array_equal(tconv.dw, conv.dw)
+
+    @pytest.mark.parametrize("length", [12, 13])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", range(1, 7))
+    def test_shared_taps_match_padded_reference(self, kernel, stride, length):
+        # both layers read one tap table, so check it once against explicit
+        # same padding: ceil(length / stride) outputs, the odd pad on the right
+        conv, _, rng = self._pair(kernel, stride)
+        x = rng.normal(size=(3, length, 1))
+        out = -(-length // stride)
+        pad = max((out - 1) * stride + kernel - length, 0)
+        xp = np.pad(x[:, :, 0], ((0, 0), (pad // 2, pad - pad // 2)))
+        ref = [np.sum(conv.w * xp[None, :, j * stride:j * stride + kernel], axis=(1, 2))
+               for j in range(out)]
+        assert np.allclose(conv.forward(x)[:, :, 0], np.array(ref).T, rtol=1e-12, atol=1e-12)
 
 
 class TestTraining:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from flightwatch.geometry import min_obstacle_distance, trajectory_from_log
-from flightwatch.preprocess import PreprocessConfig, preprocess_flight
+from flightwatch.detector import CalibrationResult
+from flightwatch.geometry import (DistanceTrace, Trajectory, min_obstacle_distance,
+                                  trajectory_from_log)
+from flightwatch.preprocess import HeadingWindow, PreprocessConfig, preprocess_flight
 from flightwatch.synthgen import (
     CLASS_NAMES,
     OBSTACLE,
@@ -17,6 +19,24 @@ from flightwatch.synthgen import (
 
 COUNTS = {"certain_safe": 3, "uncertain_safe": 3, "uncertain_unsafe": 3,
           "certain_unsafe": 2}
+
+
+# records with array fields, each built twice from equal content
+ARRAY_RECORDS = {
+    "DistanceTrace": lambda: DistanceTrace(np.array([0.0, 1.0]), np.array([2.0, 3.0])),
+    "Trajectory": lambda: Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3))),
+    "HeadingWindow": lambda: HeadingWindow("f", 0, 0.0, 5.0, np.zeros(25)),
+    "CalibrationResult": lambda: CalibrationResult(1.0, 0.5, 2, np.array([0.0, 1.0, 2.0]),
+                                                   np.array([1, 1])),
+    "SyntheticFlight": lambda: generate(SynthConfig(seed=3), {"certain_safe": 1}).flights[0],
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
 
 
 class TestGenerate:
