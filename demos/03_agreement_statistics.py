@@ -6,8 +6,7 @@ and p(uncertain | unsafe), and Wilson score confidence intervals for both.
 The same machinery scores a detector's predictions via confusion matrices.
 """
 
-from flightwatch import ConfusionMatrix, metrics, wilson
-from flightwatch.evalstats import JointLabelCounts, agreement_stats_from_counts
+from flightwatch import ConfusionMatrix, agreement_stats_from_counts, metrics, wilson
 
 
 def show_interval(name, interval):
@@ -20,10 +19,12 @@ def show_interval(name, interval):
 
 
 # ---------------------------------------------------------------------------
-# Joint label counts from a hypothetical labeled campaign of 240 flights.
+# Joint label counts from a hypothetical labeled campaign of 240 flights,
+# read as the certainty label predicting the safety label:
+# tp = unsafe & uncertain, fp = safe & uncertain, fn = unsafe & certain,
+# tn = safe & certain.
 # ---------------------------------------------------------------------------
-counts = JointLabelCounts(unsafe_uncertain=34, unsafe_certain=11,
-                          safe_uncertain=21, safe_certain=174)
+counts = ConfusionMatrix(tp=34, fp=21, fn=11, tn=174)
 stats = agreement_stats_from_counts(counts, gamma=0.95)
 print(f"{counts.total} labeled flights")
 print(f"  agreement accuracy: {100 * stats.agreement_accuracy:.1f}%")

@@ -57,7 +57,6 @@ from .detector import (
     StreamDetector,
     calibrate_threshold,
     detect_stream,
-    flight_verdicts,
     lead_time_analysis,
 )
 from .evalstats import (

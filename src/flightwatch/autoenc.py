@@ -323,7 +323,7 @@ class AutoencoderModel:
     def loss_and_grads(self, x: np.ndarray, *, train: bool = False,
                        rng: np.random.Generator | None = None) -> float:
         """MSE reconstruction loss of a batch; leaves gradients on the layers."""
-        x = np.asarray(x, dtype=float)
+        x = _window_matrix(x, self.input_length)
         recon = self._run(x, train=train, rng=rng)
         diff = recon - x
         loss = float(np.mean(diff * diff))
@@ -403,7 +403,8 @@ def _window_matrix(windows, expected_length: int | None = None) -> np.ndarray:
             x = x[None, :]
     else:
         rows = [getattr(w, "values", w) for w in windows]
-        x = np.asarray(rows, dtype=float)
+        # np.asarray([]) is 1-D; an empty sequence is a matrix of zero windows
+        x = np.asarray(rows, dtype=float) if rows else np.empty((0, expected_length or 0))
     if x.ndim != 2:
         raise ValueError(f"expected a 2D window matrix, got shape {x.shape}")
     if expected_length is not None and x.shape[1] != expected_length:

@@ -9,8 +9,8 @@ input.  All numeric defaults are overridable by flags or by a flat key-value
 JSON config file (flag names with underscores); explicit flags win over the
 config file.  Window geometry is read from windows.csv by train and calibrate
 and from the model by ``detect``, never guessed (``--windows/--stream`` reject
-windows of another length).  ``detect`` warns when no calibrated threshold is
-given and records it in its manifest.
+windows of another length or sample count).  ``detect`` warns when no
+calibrated threshold is given and records it in its manifest.
 """
 
 from __future__ import annotations
@@ -224,7 +224,10 @@ def cmd_detect(args) -> int:
     elif args.windows:
         inputs = [args.windows]
         by_flight: dict[str, list] = {}
-        for w in preprocess.read_windows_csv(args.windows, model.window_length):
+        windows = preprocess.read_windows_csv(args.windows, model.window_length)
+        if windows:
+            _check_width(f"{args.windows}: windows", windows[0].values.size, model)
+        for w in windows:
             by_flight.setdefault(w.flight_id, []).append(w)
         for fid in sorted(by_flight):
             try:
@@ -253,6 +256,13 @@ def cmd_detect(args) -> int:
     return 1 if failures else 0
 
 
+def _check_width(what: str, width: int, model) -> None:
+    """ValueError (exit 2) unless windows of ``width`` samples fit the model."""
+    if width != model.input_length:
+        raise ValueError(f"{what} have {width} samples, "
+                         f"the model expects {model.input_length}")
+
+
 def _detect_stream_stdin(model, det_config) -> int:
     """Read windowed-CSV rows from stdin; emit alarm rows as they occur.
 
@@ -266,9 +276,7 @@ def _detect_stream_stdin(model, det_config) -> int:
         if header is None:
             return 0
         width = preprocess.windows_csv_width(header)
-        if width != model.input_length:
-            raise ValueError(f"stream windows have {width} samples, "
-                             f"the model expects {model.input_length}")
+        _check_width("stream windows", width, model)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(detector.ALARMS_CSV_HEADER)
         sys.stdout.flush()

@@ -13,15 +13,13 @@ import csv
 import io
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .autoenc import AutoencoderModel
-from .flightdata import FlightLabels
 from .geometry import DistanceTrace
 from .preprocess import HeadingWindow
 
@@ -95,8 +93,6 @@ class StreamDetector:
         self.model = model
         self.config = config
         self.flight_id = flight_id
-        self._recent = deque(maxlen=config.n_consecutive)
-        self._last_index: int | None = None
         self._indices: list[int] = []
         self._times: list[float] = []
         self._losses: list[float] = []
@@ -104,20 +100,19 @@ class StreamDetector:
 
     def update(self, window: HeadingWindow) -> AlarmEvent | None:
         """Score one window; return the alarm it raised, if any."""
-        if self._last_index is not None and window.index <= self._last_index:
+        if self._indices and window.index <= self._indices[-1]:
             raise ValueError(f"flight {window.flight_id}: out-of-order window index "
-                             f"{window.index} after {self._last_index}")
-        self._last_index = window.index
+                             f"{window.index} after {self._indices[-1]}")
         if not self.flight_id:
             self.flight_id = window.flight_id
         # scored by the call calibration fits the threshold with
         loss = float(self.model.reconstruction_losses(window.values[None, :])[0])
-        self._recent.append(loss)
         self._indices.append(window.index)
         self._times.append(window.end)
         self._losses.append(loss)
-        if len(self._recent) >= self.config.n_consecutive:
-            mean = sum(self._recent) / len(self._recent)
+        n = self.config.n_consecutive
+        if len(self._losses) >= n:
+            mean = sum(self._losses[-n:]) / n
             if not mean <= self.config.threshold:  # a NaN mean alarms too
                 alarm = AlarmEvent(window_index=window.index, timestamp=window.end,
                                    loss=loss, rolling_mean_loss=mean)
@@ -202,35 +197,6 @@ def lead_time_analysis(report: DetectionReport, distance_trace: DistanceTrace | 
 def _nearest_sample(trace: DistanceTrace, t: float) -> float:
     idx = int(np.argmin(np.abs(trace.timestamps - t)))
     return float(trace.distances[idx])
-
-
-@dataclass(frozen=True)
-class FlightVerdict:
-    """Per-flight predictions: the uncertainty signal doubles as the unsafety
-    prediction."""
-
-    flight_id: str
-    predicted_uncertain: bool
-    predicted_unsafe: bool
-
-
-def flight_verdicts(reports: Iterable[DetectionReport],
-                    labels: Mapping[str, FlightLabels]) -> dict[str, FlightVerdict]:
-    """Any-alarm verdict per flight, checked against the labeled flight set."""
-    by_id = {}
-    for rep in reports:
-        by_id[rep.flight_id] = rep
-    missing_reports = sorted(set(labels) - set(by_id))
-    missing_labels = sorted(set(by_id) - set(labels))
-    if missing_reports or missing_labels:
-        parts = []
-        if missing_reports:
-            parts.append(f"labeled flights without reports: {missing_reports}")
-        if missing_labels:
-            parts.append(f"reports without labels: {missing_labels}")
-        raise ValueError("; ".join(parts))
-    return {fid: FlightVerdict(fid, rep.flight_uncertain, rep.flight_uncertain)
-            for fid, rep in by_id.items()}
 
 
 def report_to_dict(report: DetectionReport) -> dict:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .detector import DetectionReport, flight_verdicts
+from .detector import DetectionReport
 from .flightdata import FlightLabels
 
 
@@ -143,71 +143,52 @@ def wilson(successes: int, trials: int, gamma: float = 0.95) -> WilsonInterval:
 
 
 @dataclass(frozen=True)
-class JointLabelCounts:
-    """Flight counts of the four safety/certainty combinations."""
-
-    unsafe_uncertain: int
-    unsafe_certain: int
-    safe_uncertain: int
-    safe_certain: int
-
-    def __post_init__(self):
-        if min(self.unsafe_uncertain, self.unsafe_certain,
-               self.safe_uncertain, self.safe_certain) < 0:
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return (self.unsafe_uncertain + self.unsafe_certain
-                + self.safe_uncertain + self.safe_certain)
-
-
-@dataclass(frozen=True)
 class AgreementStats:
-    """Safety/certainty co-occurrence plus the two conditional probabilities."""
+    """Safety/certainty co-occurrence plus the two conditional probabilities.
 
-    counts: JointLabelCounts
+    ``counts`` treats each flight's certainty label as a prediction of its
+    safety label: tp = unsafe and uncertain, fp = safe and uncertain,
+    fn = unsafe and certain, tn = safe and certain.  So p(unsafe | uncertain)
+    is that table's precision and p(uncertain | unsafe) its recall.
+    """
+
+    counts: ConfusionMatrix
     agreement_accuracy: float
     p_unsafe_given_uncertain: WilsonInterval | None
     p_uncertain_given_unsafe: WilsonInterval | None
 
 
-def agreement_stats_from_counts(counts: JointLabelCounts,
+def agreement_stats_from_counts(cm: ConfusionMatrix,
                                 gamma: float = 0.95) -> AgreementStats:
-    """Agreement accuracy and conditional probabilities from joint counts.
+    """Agreement accuracy and conditional probabilities from the agreement
+    table (see :class:`AgreementStats`).
 
     Conditional probabilities with a zero-count conditioning event are absent.
     """
-    total = counts.total
-    if total == 0:
-        raise ValueError("agreement statistics need at least one flight")
-    agreement = (counts.unsafe_uncertain + counts.safe_certain) / total
-    n_uncertain = counts.unsafe_uncertain + counts.safe_uncertain
-    n_unsafe = counts.unsafe_uncertain + counts.unsafe_certain
-    p_uu = wilson(counts.unsafe_uncertain, n_uncertain, gamma) if n_uncertain else None
-    p_un = wilson(counts.unsafe_uncertain, n_unsafe, gamma) if n_unsafe else None
-    return AgreementStats(counts=counts, agreement_accuracy=agreement,
-                          p_unsafe_given_uncertain=p_uu,
-                          p_uncertain_given_unsafe=p_un)
+    n_uncertain = cm.tp + cm.fp
+    n_unsafe = cm.tp + cm.fn
+    return AgreementStats(
+        counts=cm, agreement_accuracy=metrics(cm)["accuracy"],
+        p_unsafe_given_uncertain=wilson(cm.tp, n_uncertain, gamma) if n_uncertain else None,
+        p_uncertain_given_unsafe=wilson(cm.tp, n_unsafe, gamma) if n_unsafe else None)
 
 
-def agreement_stats(labels: Mapping[str, FlightLabels] | Iterable[FlightLabels],
+def _label_bits(labels: Mapping[str, FlightLabels]) -> tuple[dict, dict]:
+    """Each flight's labels as two truth maps: uncertain, and unsafe."""
+    return ({fid: lab.certainty == "uncertain" for fid, lab in labels.items()},
+            {fid: lab.safety == "unsafe" for fid, lab in labels.items()})
+
+
+def agreement_stats(labels: Mapping[str, FlightLabels],
                     gamma: float = 0.95) -> AgreementStats:
     """Agreement statistics over a labeled flight set."""
-    items = labels.values() if isinstance(labels, Mapping) else list(labels)
-    uu = uc = su = sc = 0
-    for lab in items:
-        unsafe = lab.safety == "unsafe"
-        uncertain = lab.certainty == "uncertain"
-        if unsafe and uncertain:
-            uu += 1
-        elif unsafe:
-            uc += 1
-        elif uncertain:
-            su += 1
-        else:
-            sc += 1
-    return agreement_stats_from_counts(JointLabelCounts(uu, uc, su, sc), gamma)
+    return agreement_stats_from_counts(confusion(*_label_bits(labels)), gamma)
+
+
+def _agreement_cells(cm: ConfusionMatrix) -> dict[str, int]:
+    """The agreement table's cells under their output names, in table order."""
+    return {"unsafe_uncertain": cm.tp, "unsafe_certain": cm.fn,
+            "safe_uncertain": cm.fp, "safe_certain": cm.tn}
 
 
 @dataclass(frozen=True)
@@ -257,14 +238,12 @@ def dataset_report(reports: Iterable[DetectionReport],
     reports = list(reports)
     if not reports or not labels:
         raise ValueError("evaluation needs at least one flight with a label")
-    verdicts = flight_verdicts(reports, labels)
     by_id = {r.flight_id: r for r in reports}
-    pred_uncertain = {fid: v.predicted_uncertain for fid, v in verdicts.items()}
-    pred_unsafe = {fid: v.predicted_unsafe for fid, v in verdicts.items()}
-    truth_uncertain = {fid: lab.certainty == "uncertain" for fid, lab in labels.items()}
-    truth_unsafe = {fid: lab.safety == "unsafe" for fid, lab in labels.items()}
-    cm_unc = confusion(pred_uncertain, truth_uncertain)
-    cm_saf = confusion(pred_unsafe, truth_unsafe)
+    # any alarm flags a flight: the one bit predicts both certainty and safety
+    predicted = {fid: rep.flight_uncertain for fid, rep in by_id.items()}
+    uncertain, unsafe = _label_bits(labels)
+    cm_unc = confusion(predicted, uncertain)
+    cm_saf = confusion(predicted, unsafe)
     lead_times = tuple(r.lead_time for r in reports if r.lead_time is not None)
     distances = [r.distance_at_first_alarm for r in reports
                  if r.distance_at_first_alarm is not None]
@@ -281,7 +260,7 @@ def dataset_report(reports: Iterable[DetectionReport],
         n_flights=len(reports),
         uncertainty=AxisEvaluation("certainty", cm_unc, metrics(cm_unc)),
         safety=AxisEvaluation("safety", cm_saf, metrics(cm_saf)),
-        agreement=agreement_stats(labels, gamma),
+        agreement=agreement_stats_from_counts(confusion(uncertain, unsafe), gamma),
         lead_times=lead_times,
         lead_time_mean=float(np.mean(lead_times)) if lead_times else None,
         lead_time_median=float(np.median(lead_times)) if lead_times else None,
@@ -301,16 +280,12 @@ def report_to_json_dict(report: DatasetReport) -> dict:
         return {"confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
                 "metrics": ax.metrics}
 
-    counts = report.agreement.counts
     return {
         "n_flights": report.n_flights,
         "ground_truth": {"certainty": axis(report.uncertainty),
                          "safety": axis(report.safety)},
         "label_agreement": {
-            "counts": {"unsafe_uncertain": counts.unsafe_uncertain,
-                       "unsafe_certain": counts.unsafe_certain,
-                       "safe_uncertain": counts.safe_uncertain,
-                       "safe_certain": counts.safe_certain},
+            "counts": _agreement_cells(report.agreement.counts),
             "agreement_accuracy": report.agreement.agreement_accuracy,
             "p_unsafe_given_uncertain": _interval_dict(report.agreement.p_unsafe_given_uncertain),
             "p_uncertain_given_unsafe": _interval_dict(report.agreement.p_uncertain_given_unsafe),
@@ -355,7 +330,6 @@ def write_evaluation_tables(report: DatasetReport, outdir) -> list[Path]:
         path.write_text(buf.getvalue(), encoding="utf-8")
         written.append(path)
 
-    counts = report.agreement.counts
     agree_rows = [
         ["agreement_accuracy_pct", _pct(report.agreement.agreement_accuracy), "", ""],
     ]
@@ -367,10 +341,8 @@ def write_evaluation_tables(report: DatasetReport, outdir) -> list[Path]:
             agree_rows.append([f"{key}_pct", _pct(iv.point), _pct(iv.low), _pct(iv.high)])
     _write("label_agreement.csv", ["metric", "value", "ci_low", "ci_high"], agree_rows)
 
-    _write("label_counts.csv",
-           ["unsafe_uncertain", "unsafe_certain", "safe_uncertain", "safe_certain"],
-           [[counts.unsafe_uncertain, counts.unsafe_certain,
-             counts.safe_uncertain, counts.safe_certain]])
+    cells = _agreement_cells(report.agreement.counts)
+    _write("label_counts.csv", list(cells), [list(cells.values())])
 
     metric_rows = []
     for ax in (report.uncertainty, report.safety):

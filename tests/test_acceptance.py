@@ -18,8 +18,7 @@ import pytest
 from flightwatch.autoenc import AutoencoderModel, mse_loss
 from flightwatch.cli import main
 from flightwatch.detector import DetectorConfig, detect_stream
-from flightwatch.evalstats import JointLabelCounts, agreement_stats_from_counts, \
-    ConfusionMatrix, metrics
+from flightwatch.evalstats import ConfusionMatrix, agreement_stats_from_counts, metrics
 from flightwatch.flightdata import parse_labels, write_labels
 from flightwatch.geometry import dtw
 from flightwatch.preprocess import PreprocessConfig, make_windows, resample_uniform, \
@@ -45,9 +44,9 @@ def _ok(criterion, message):
 def test_criterion_1_agreement_statistics():
     start = time.monotonic()
     cases = {
-        "diverse": (JointLabelCounts(16, 9, 16, 148),
+        "diverse": (ConfusionMatrix(tp=16, fp=16, fn=9, tn=148),
                     86.8, 50.0, (33.6, 66.4), 64.0, (44.5, 79.8)),
-        "large": (JointLabelCounts(123, 15, 43, 361),
+        "large": (ConfusionMatrix(tp=123, fp=43, fn=15, tn=361),
                   89.3, 74.1, (66.9, 80.2), 89.1, (82.8, 93.3)),
     }
     for name, (counts, agree, p_uu, ci_uu, p_un, ci_un) in cases.items():

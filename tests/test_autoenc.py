@@ -72,6 +72,18 @@ class TestShapes:
         with pytest.raises(ValueError, match="length"):
             m.forward(np.zeros(30))
 
+    def test_loss_and_grads_length_mismatch_is_error(self):
+        m = AutoencoderModel(input_length=25, seed=0)
+        with pytest.raises(ValueError, match="length"):
+            m.loss_and_grads(np.zeros((2, 30)))
+        with pytest.raises(ValueError, match="length"):
+            m.loss_and_grads(np.zeros(30))
+
+    def test_loss_and_grads_single_window_is_a_batch_of_one(self):
+        m = AutoencoderModel(input_length=25, seed=0)
+        x = np.random.default_rng(1).normal(size=25)
+        assert m.loss_and_grads(x) == m.loss_and_grads(x[None, :])
+
     def test_too_short_input_length(self):
         with pytest.raises(ValueError):
             AutoencoderModel(input_length=4)
@@ -246,6 +258,11 @@ class TestTraining:
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
             train(np.empty((0, 25)), TrainConfig())
+
+    @pytest.mark.parametrize("windows", [[], np.empty((0, 25))], ids=["list", "matrix"])
+    def test_empty_training_set_message(self, windows):
+        with pytest.raises(ValueError, match="training needs at least one window"):
+            train(windows, TrainConfig())
 
     def test_loss_mostly_non_increasing(self):
         rng = np.random.default_rng(12)

@@ -287,6 +287,25 @@ class TestDetect:
         assert rc == 1 and out == ["flight_id,window_index,timestamp_s,loss,rolling_mean"]
         assert err == ["error: row 2: window spans 2.5 s, expected 5.0 s"]
 
+    def test_windows_of_another_sample_count_exit_2(self, synth_dirs, tmp_path,
+                                                     monkeypatch, capsys):
+        # 10 Hz x 5 s windows span the model's 5 s but hold 50 samples, not 25
+        held = synth_dirs["held"]
+        pre = tmp_path / "pre"
+        assert run("preprocess", "--logs", held / "logs", "--rate-hz", "10",
+                   "--out", pre) == 0
+        capsys.readouterr()
+        det = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"],
+                   "--windows", pre / "windows.csv", "--out", det) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pre / 'windows.csv'}: windows have 50 samples, the model expects 25"]
+        assert not list(det.glob("**/*.json"))
+        lines = (pre / "windows.csv").read_text().splitlines()
+        rc, out, err = self._stream(synth_dirs, monkeypatch, capsys, lines[:3])
+        assert rc == 2 and out == []
+        assert err == ["error: stream windows have 50 samples, the model expects 25"]
+
     def test_uncalibrated_model_is_flagged(self, synth_dirs, tmp_path, capsys):
         out = tmp_path / "det"
         assert run("detect", "--model", synth_dirs["model"],

@@ -14,13 +14,13 @@ from flightwatch.detector import (
     alarms_csv,
     calibrate_threshold,
     detect_stream,
-    flight_verdicts,
     lead_time_analysis,
     read_report,
     report_from_dict,
     report_to_dict,
     write_report,
 )
+from flightwatch.evalstats import ConfusionMatrix, dataset_report
 from flightwatch.flightdata import FlightLabels
 from flightwatch.geometry import DistanceTrace
 from flightwatch.preprocess import HeadingWindow
@@ -232,6 +232,8 @@ class TestLeadTime:
 
 
 class TestVerdicts:
+    """Any alarm flags a flight; evaluation scores that one bit on both axes."""
+
     def _labels(self, *pairs):
         return {f"f{i}": FlightLabels(f"f{i}", s, c)
                 for i, (s, c) in enumerate(pairs)}
@@ -240,19 +242,21 @@ class TestVerdicts:
         labels = self._labels(("safe", "uncertain"), ("safe", "certain"))
         alarm = AlarmEvent(0, 5.0, 1.0, 0.9)
         reports = [DetectionReport("f0", alarms=(alarm,)), DetectionReport("f1")]
-        verdicts = flight_verdicts(reports, labels)
-        assert verdicts["f0"].predicted_uncertain and verdicts["f0"].predicted_unsafe
-        assert not verdicts["f1"].predicted_uncertain
+        doc = dataset_report(reports, labels)
+        f0, f1 = doc.per_flight
+        assert f0.predicted_uncertain and not f1.predicted_uncertain
+        assert doc.uncertainty.confusion == ConfusionMatrix(tp=1, fp=0, fn=0, tn=1)
+        assert doc.safety.confusion == ConfusionMatrix(tp=0, fp=1, fn=0, tn=1)
 
     def test_missing_report_is_error(self):
         labels = self._labels(("safe", "certain"), ("unsafe", "uncertain"))
         with pytest.raises(ValueError, match="f1"):
-            flight_verdicts([DetectionReport("f0")], labels)
+            dataset_report([DetectionReport("f0")], labels)
 
     def test_missing_label_is_error(self):
         labels = self._labels(("safe", "certain"))
         with pytest.raises(ValueError, match="extra"):
-            flight_verdicts([DetectionReport("f0"), DetectionReport("extra")], labels)
+            dataset_report([DetectionReport("f0"), DetectionReport("extra")], labels)
 
 
 class TestReportIo:

@@ -5,7 +5,6 @@ from scipy import stats as scipy_stats
 from flightwatch.detector import AlarmEvent, DetectionReport
 from flightwatch.evalstats import (
     ConfusionMatrix,
-    JointLabelCounts,
     agreement_stats,
     agreement_stats_from_counts,
     confusion,
@@ -141,19 +140,19 @@ class TestConfusion:
 
 class TestAgreement:
     def test_diverse_dataset_counts(self):
-        stats = agreement_stats_from_counts(JointLabelCounts(16, 9, 16, 148))
+        stats = agreement_stats_from_counts(ConfusionMatrix(tp=16, fp=16, fn=9, tn=148))
         assert pct(stats.agreement_accuracy) == pytest.approx(86.8, abs=0.1)
         assert pct(stats.p_unsafe_given_uncertain.point) == pytest.approx(50.0, abs=0.1)
         assert pct(stats.p_uncertain_given_unsafe.point) == pytest.approx(64.0, abs=0.1)
 
     def test_larger_dataset_counts(self):
-        stats = agreement_stats_from_counts(JointLabelCounts(123, 15, 43, 361))
+        stats = agreement_stats_from_counts(ConfusionMatrix(tp=123, fp=43, fn=15, tn=361))
         assert pct(stats.agreement_accuracy) == pytest.approx(89.3, abs=0.1)
         assert pct(stats.p_unsafe_given_uncertain.point) == pytest.approx(74.1, abs=0.1)
         assert pct(stats.p_uncertain_given_unsafe.point) == pytest.approx(89.1, abs=0.1)
 
     def test_all_safe_certain(self):
-        stats = agreement_stats_from_counts(JointLabelCounts(0, 0, 0, 25))
+        stats = agreement_stats_from_counts(ConfusionMatrix(tp=0, fp=0, fn=0, tn=25))
         assert stats.agreement_accuracy == 1.0
         assert stats.p_unsafe_given_uncertain is None
         assert stats.p_uncertain_given_unsafe is None
@@ -165,7 +164,7 @@ class TestAgreement:
         for i, (s, c) in enumerate(combos):
             labels[f"f{i}"] = FlightLabels(f"f{i}", s, c)
         stats = agreement_stats(labels)
-        assert stats.counts == JointLabelCounts(3, 2, 4, 11)
+        assert stats.counts == ConfusionMatrix(tp=3, fp=4, fn=2, tn=11)
         assert stats.agreement_accuracy == pytest.approx(14 / 20)
 
     def test_polarity_swap_invariance(self):
@@ -174,13 +173,13 @@ class TestAgreement:
             uu, uc, su, sc = (int(x) for x in rng.integers(0, 40, size=4))
             if uu + uc + su + sc == 0:
                 continue
-            a = agreement_stats_from_counts(JointLabelCounts(uu, uc, su, sc))
-            b = agreement_stats_from_counts(JointLabelCounts(sc, su, uc, uu))
+            a = agreement_stats_from_counts(ConfusionMatrix(tp=uu, fp=su, fn=uc, tn=sc))
+            b = agreement_stats_from_counts(ConfusionMatrix(tp=sc, fp=uc, fn=su, tn=uu))
             assert a.agreement_accuracy == pytest.approx(b.agreement_accuracy)
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
-            agreement_stats_from_counts(JointLabelCounts(0, 0, 0, 0))
+            agreement_stats_from_counts(ConfusionMatrix(0, 0, 0, 0))
 
 
 class TestDatasetReport:

@@ -27,6 +27,8 @@ LARGE_CELLS = {
 EXPECTED = {
     "diverse": {
         "total": 189,
+        # unsafe_uncertain, unsafe_certain, safe_uncertain, safe_certain
+        "label_counts": (16, 9, 16, 148),
         "agreement_pct": 86.8,
         "p_unsafe_given_uncertain": (50.0, 33.6, 66.4),
         "p_uncertain_given_unsafe": (64.0, 44.5, 79.8),
@@ -37,6 +39,7 @@ EXPECTED = {
     },
     "large": {
         "total": 542,
+        "label_counts": (123, 15, 43, 361),
         "agreement_pct": 89.3,
         "p_unsafe_given_uncertain": (74.1, 66.9, 80.2),
         "p_uncertain_given_unsafe": (89.1, 82.8, 93.3),
@@ -82,6 +85,10 @@ def test_evaluate_reproduces_published_tables(name, tmp_path):
     assert doc["n_flights"] == expected["total"]
 
     agree = doc["label_agreement"]
+    names = ("unsafe_uncertain", "unsafe_certain", "safe_uncertain", "safe_certain")
+    assert agree["counts"] == dict(zip(names, expected["label_counts"]))
+    assert (out / "label_counts.csv").read_text().splitlines() == [
+        ",".join(names), ",".join(map(str, expected["label_counts"]))]
     assert 100 * agree["agreement_accuracy"] == pytest.approx(
         expected["agreement_pct"], abs=0.1)
     for key in ("p_unsafe_given_uncertain", "p_uncertain_given_unsafe"):
