@@ -15,7 +15,7 @@ from flightwatch import (
     calibrate_threshold,
     dataset_report,
     detect_stream,
-    filter_nominal,
+    filter_nominal_from_windows,
     generate,
     lead_time_analysis,
     preprocess_flight,
@@ -42,8 +42,8 @@ print(f"generated {len(train_set.flights)} training and "
 pconf = PreprocessConfig()
 nominal = []
 for flight in train_set.flights:
-    windows, trace = preprocess_flight(flight.log, pconf, obstacles=[OBSTACLE])
-    nominal.extend(filter_nominal(windows, trace, pconf))
+    windows, _ = preprocess_flight(flight.log, pconf, obstacles=[OBSTACLE])
+    nominal.extend(filter_nominal_from_windows(windows, pconf))
 print(f"nominal training windows: {len(nominal)} "
       f"(each {pconf.window_samples} samples)")
 

@@ -8,15 +8,14 @@ proximity (sum_dist) and, once executions of the same test diverge enough
 import numpy as np
 
 from flightwatch import (
-    FitnessParams,
     ObstacleBox,
     Trajectory,
     average_trajectory,
     dtw,
+    fitness_components,
     point_box_distance,
     min_obstacle_distance,
 )
-from flightwatch.geometry import fitness_components
 
 # ---------------------------------------------------------------------------
 # Point-to-box distance handles rotated footprints; altitude is ignored.
@@ -54,8 +53,7 @@ print(f"dtw(execution 1, itself)      = {dtw(path, path):.2f}")
 # ---------------------------------------------------------------------------
 ave = average_trajectory(executions, resample_n=200)
 print(f"\naverage trajectory has {len(ave)} points")
-comps = fitness_components(executions, boxes, FitnessParams(max_dtw=65.0,
-                                                            n_executions=2))
+comps = fitness_components(executions, boxes, max_dtw=65.0)
 print(f"sum_dist={comps['sum_dist']:.2f}  ave_dtw={comps['ave_dtw']:.2f}  "
       f"fitness={comps['fitness']:.2f}")
 

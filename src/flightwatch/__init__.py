@@ -20,11 +20,10 @@ from .flightdata import (
 )
 from .geometry import (
     DistanceTrace,
-    FitnessParams,
     Trajectory,
     average_trajectory,
     dtw,
-    fitness_distance,
+    fitness_components,
     min_obstacle_distance,
     point_box_distance,
     sum_dist,
@@ -33,7 +32,7 @@ from .geometry import (
 from .preprocess import (
     HeadingWindow,
     PreprocessConfig,
-    filter_nominal,
+    filter_nominal_from_windows,
     make_windows,
     preprocess_flight,
     read_windows_csv,

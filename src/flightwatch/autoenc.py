@@ -307,17 +307,14 @@ class AutoencoderModel:
             h = layer.forward(h, train=train, rng=rng)
         return h[0].T
 
-    def forward(self, values, mode: str = "infer",
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        """Reconstruct one window or a batch of windows.
+    def forward(self, values) -> np.ndarray:
+        """Reconstruct one window or a batch of windows, inference mode.
 
-        ``mode`` is "infer" (deterministic) or "train" (dropout active, rng
-        required).  Input length must match the model's input_length.
+        Input length must match the model's input_length.  Training runs
+        through :meth:`loss_and_grads`.
         """
-        if mode not in ("infer", "train"):
-            raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
         x = np.asarray(values, dtype=float)
-        y = self._run(_window_matrix(x, self.input_length), train=(mode == "train"), rng=rng)
+        y = self._run(_window_matrix(x, self.input_length), train=False, rng=None)
         return y[0] if x.ndim == 1 else y
 
     def loss_and_grads(self, x: np.ndarray, *, train: bool = False,

@@ -28,22 +28,25 @@ import numpy as np
 
 from . import __version__, autoenc, detector, evalstats, preprocess, synthgen
 from .flightdata import parse_flight_log, parse_labels, parse_obstacles
-from .geometry import FitnessParams, fitness_components, trajectory_from_log
+from .geometry import fitness_components, trajectory_from_log
 
 MANIFEST_NAME = "run_manifest.json"
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, inputs: list,
-                    outputs: list, seed, started: float, **extra) -> None:
+def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
+                    outputs: list, started: float, **extra) -> None:
+    """Write the run manifest: the command, its effective parameters and seed
+    (all read from ``args``), inputs, outputs and timing."""
     doc = {
         **extra,
-        "command": command,
+        "command": args.command,
         "tool": "flightwatch",
         "version": __version__,
-        "config": config,
+        "config": {k: v for k, v in sorted(vars(args).items())
+                   if k not in ("func", "config")},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": args.seed,
         "started_at_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": time.time() - started,
     }
@@ -51,11 +54,6 @@ def _write_manifest(outdir: Path, command: str, config: dict, inputs: list,
     tmp = outdir / (MANIFEST_NAME + ".tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     tmp.replace(outdir / MANIFEST_NAME)
-
-
-def _config_snapshot(args: argparse.Namespace) -> dict:
-    skip = {"func", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _load_config_file(path: str) -> dict:
@@ -102,9 +100,8 @@ def cmd_preprocess(args) -> int:
     preprocess.write_windows_csv(windows, windows_path,
                                  window_samples=config.window_samples)
     print(f"wrote {len(windows)} windows (W={config.window_samples}) to {windows_path}")
-    _write_manifest(out, "preprocess", _config_snapshot(args),
-                    [args.logs, args.obstacles or "", args.labels or ""],
-                    [windows_path], args.seed, started)
+    _write_manifest(out, args, [args.logs, args.obstacles or "", args.labels or ""],
+                    [windows_path], started)
     return 1 if failures else 0
 
 
@@ -131,8 +128,7 @@ def cmd_train(args) -> int:
     autoenc.save_model(model, model_path)
     print(f"trained {model.epochs_trained} epochs, final loss {model.final_loss:.6g}; "
           f"model written to {model_path}")
-    _write_manifest(out, "train", _config_snapshot(args), [args.windows],
-                    [model_path], args.seed, started)
+    _write_manifest(out, args, [args.windows], [model_path], started)
     return 0
 
 
@@ -175,8 +171,7 @@ def cmd_calibrate(args) -> int:
         print(f"threshold {model.threshold!r} written into {model_path}")
     print(f"suggested threshold (quantile {args.quantile}): {result.threshold!r} "
           f"from {result.n_losses} nominal losses")
-    _write_manifest(out, "calibrate", _config_snapshot(args),
-                    [args.model, args.windows], outputs, args.seed, started)
+    _write_manifest(out, args, [args.model, args.windows], outputs, started)
     return 0
 
 
@@ -251,8 +246,7 @@ def cmd_detect(args) -> int:
     print(f"detected on {len(reports)} flights: {n_uncertain} uncertain, "
           f"{n_alarms} alarms (threshold {det_config.threshold!r}, "
           f"n={det_config.n_consecutive})")
-    _write_manifest(out, "detect", _config_snapshot(args), inputs, outputs,
-                    args.seed, started, threshold_calibrated=calibrated)
+    _write_manifest(out, args, inputs, outputs, started, threshold_calibrated=calibrated)
     return 1 if failures else 0
 
 
@@ -330,9 +324,8 @@ def cmd_evaluate(args) -> int:
               f"median {doc.lead_time_median:.1f}s over {len(doc.lead_times)} flights; "
               f"mean distance at first alarm "
               f"{doc.mean_distance_at_first_alarm:.2f}m")
-    _write_manifest(out, "evaluate", _config_snapshot(args),
-                    [args.reports, args.labels], [eval_path] + table_paths,
-                    args.seed, started)
+    _write_manifest(out, args, [args.reports, args.labels], [eval_path] + table_paths,
+                    started)
     return 0
 
 
@@ -344,8 +337,8 @@ def cmd_fitness(args) -> int:
     for path in _sorted_logs(args.logs):
         log = parse_flight_log(path, flight_id=path.stem)
         trajs.append(trajectory_from_log(log))
-    params = FitnessParams(max_dtw=args.max_dtw, n_executions=len(trajs))
-    comps = fitness_components(trajs, obstacles, params, resample_n=args.resample_n)
+    comps = fitness_components(trajs, obstacles, max_dtw=args.max_dtw,
+                               resample_n=args.resample_n)
     print(f"fitness={comps['fitness']!r} (sum_dist={comps['sum_dist']!r}, "
           f"ave_dtw={comps['ave_dtw']!r}, max_dtw={args.max_dtw!r}, "
           f"n={len(trajs)})")
@@ -354,8 +347,7 @@ def cmd_fitness(args) -> int:
         fit_path = out / "fitness.json"
         fit_path.write_text(json.dumps(comps, sort_keys=True, indent=2) + "\n",
                             encoding="utf-8")
-        _write_manifest(out, "fitness", _config_snapshot(args),
-                        [args.logs, args.obstacles], [fit_path], args.seed, started)
+        _write_manifest(out, args, [args.logs, args.obstacles], [fit_path], started)
     return 0
 
 
@@ -375,8 +367,7 @@ def cmd_synth(args) -> int:
     paths = synthgen.write_dataset(dataset, out)
     print(f"generated {len(dataset.flights)} flights "
           f"({', '.join(f'{k}={v}' for k, v in dataset.counts.items())}) in {out}")
-    _write_manifest(out, "synth", _config_snapshot(args), [],
-                    [p for p in paths.values()], args.seed, started)
+    _write_manifest(out, args, [], [p for p in paths.values()], started)
     return 0
 
 

@@ -99,12 +99,16 @@ class StreamDetector:
         self._alarms: list[AlarmEvent] = []
 
     def update(self, window: HeadingWindow) -> AlarmEvent | None:
-        """Score one window; return the alarm it raised, if any."""
+        """Score one window of this detector's flight (the first window's, if
+        none was given); return the alarm it raised, if any."""
+        if not self.flight_id:
+            self.flight_id = window.flight_id
+        if window.flight_id != self.flight_id:
+            raise ValueError(f"window of flight {window.flight_id!r} sent to the "
+                             f"detector of flight {self.flight_id!r}")
         if self._indices and window.index <= self._indices[-1]:
             raise ValueError(f"flight {window.flight_id}: out-of-order window index "
                              f"{window.index} after {self._indices[-1]}")
-        if not self.flight_id:
-            self.flight_id = window.flight_id
         # scored by the call calibration fits the threshold with
         loss = float(self.model.reconstruction_losses(window.values[None, :])[0])
         self._indices.append(window.index)

@@ -239,6 +239,9 @@ def dataset_report(reports: Iterable[DetectionReport],
     if not reports or not labels:
         raise ValueError("evaluation needs at least one flight with a label")
     by_id = {r.flight_id: r for r in reports}
+    if len(by_id) != len(reports):
+        ids = [r.flight_id for r in reports]
+        raise ValueError(f"duplicate flight ids: {sorted({f for f in ids if ids.count(f) > 1})}")
     # any alarm flags a flight: the one bit predicts both certainty and safety
     predicted = {fid: rep.flight_uncertain for fid, rep in by_id.items()}
     uncertain, unsafe = _label_bits(labels)

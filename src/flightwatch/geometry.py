@@ -139,20 +139,16 @@ def _as_points(traj) -> np.ndarray:
     return pts
 
 
-def obstacle_distance_trace(traj: Trajectory, obstacles: Sequence[ObstacleBox]) -> DistanceTrace:
-    """Per-timestamp minimum distance to any obstacle (+inf when none given)."""
+def min_obstacle_distance(traj: Trajectory,
+                          obstacles: Sequence[ObstacleBox]) -> tuple[float, DistanceTrace]:
+    """Flight-wide minimum obstacle distance plus the per-timestamp distance
+    trace to the nearest obstacle (+inf when none are given)."""
     xy = traj.points[:, :2]
     if len(obstacles) == 0:
         dists = np.full(len(traj), np.inf)
     else:
         dists = np.min(np.stack([_points_box_distance(xy, box) for box in obstacles]), axis=0)
-    return DistanceTrace(traj.timestamps, dists)
-
-
-def min_obstacle_distance(traj: Trajectory,
-                          obstacles: Sequence[ObstacleBox]) -> tuple[float, DistanceTrace]:
-    """Flight-wide minimum obstacle distance plus the full distance trace."""
-    trace = obstacle_distance_trace(traj, obstacles)
+    trace = DistanceTrace(traj.timestamps, dists)
     return trace.min_value, trace
 
 
@@ -216,24 +212,8 @@ def average_trajectory(trajs: Iterable, resample_n: int = 200) -> np.ndarray:
     return np.mean(np.stack(stacks), axis=0)
 
 
-@dataclass(frozen=True)
-class FitnessParams:
-    """Knobs of the execution-spread fitness: the DTW activation threshold and
-    the expected number of executions."""
-
-    max_dtw: float = 65.0
-    n_executions: int = 1
-
-    def __post_init__(self):
-        if not self.max_dtw > 0:
-            raise ValueError("max_dtw must be > 0")
-        if self.n_executions < 1:
-            raise ValueError("n_executions must be >= 1")
-
-
-def fitness_components(trajs: Sequence, obstacles: Sequence[ObstacleBox],
-                       params: FitnessParams | None = None, *,
-                       resample_n: int = 200) -> dict[str, float]:
+def fitness_components(trajs: Sequence, obstacles: Sequence[ObstacleBox], *,
+                       max_dtw: float = 65.0, resample_n: int = 200) -> dict[str, float]:
     """Fitness of one test case over its repeated executions, with components.
 
     Computes the mean DTW divergence of each execution from the average
@@ -241,26 +221,17 @@ def fitness_components(trajs: Sequence, obstacles: Sequence[ObstacleBox],
     the divergence term engages only above ``max_dtw``.  Lower is more
     interesting to the search this measure serves.
     """
+    if not max_dtw > 0:
+        raise ValueError("max_dtw must be > 0")
     trajs = list(trajs)
     if not trajs:
         raise ValueError("fitness needs at least one trajectory")
-    if params is None:
-        params = FitnessParams(n_executions=len(trajs))
-    elif params.n_executions != len(trajs):
-        raise ValueError(
-            f"params.n_executions={params.n_executions} but {len(trajs)} trajectories given")
     # executions are compared on the same arc-length grid the average lives on,
     # so identical executions give ave_dtw == 0
     resampled = [resample_by_arclength(t, resample_n) for t in trajs]
     ave = np.mean(np.stack(resampled), axis=0)
     ave_dtw = sum(dtw(t, ave) for t in resampled) / len(resampled)
     sd = sum_dist(ave, obstacles)
-    fitness = sd - ave_dtw if ave_dtw > params.max_dtw else sd
-    return {"sum_dist": sd, "ave_dtw": ave_dtw, "max_dtw": params.max_dtw,
+    fitness = sd - ave_dtw if ave_dtw > max_dtw else sd
+    return {"sum_dist": sd, "ave_dtw": ave_dtw, "max_dtw": max_dtw,
             "n_executions": float(len(trajs)), "fitness": fitness}
-
-
-def fitness_distance(trajs: Sequence, obstacles: Sequence[ObstacleBox],
-                     params: FitnessParams | None = None, *, resample_n: int = 200) -> float:
-    """Scalar fitness value; see :func:`fitness_components`."""
-    return fitness_components(trajs, obstacles, params, resample_n=resample_n)["fitness"]

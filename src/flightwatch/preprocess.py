@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -146,31 +146,16 @@ def make_windows(timestamps, headings, config: PreprocessConfig, *,
     return windows
 
 
-def filter_nominal(windows: Sequence[HeadingWindow], distance_trace: DistanceTrace | None,
-                   config: PreprocessConfig) -> list[HeadingWindow]:
-    """Keep windows whose obstacle distance stays above the nominal threshold
-    for the window plus the look-ahead horizon (truncated at flight end).
-
-    Without a distance trace every window is vacuously nominal.
-    """
-    if distance_trace is None:
-        return list(windows)
-    kept = []
-    for w in windows:
-        if distance_trace.range_min(w.start, w.end + config.nominal_lookahead) \
-                > config.nominal_distance:
-            kept.append(w)
-    return kept
-
-
 def filter_nominal_from_windows(windows: Sequence[HeadingWindow],
                                 config: PreprocessConfig) -> list[HeadingWindow]:
-    """Nominal filter driven by window annotations alone.
+    """Keep windows whose obstacle distance stays above the nominal threshold
+    for the window plus the look-ahead horizon, read from window annotations.
 
-    Used where only the windowed dataset is available (no distance trace):
-    a window is kept when no window of the same flight starting within the
-    look-ahead horizon dips to the nominal threshold.  Conservative by at most
-    one window length at the horizon's far edge.
+    A window is kept when no window of the same flight starting within the
+    look-ahead horizon dips to the nominal threshold; windows without a
+    distance annotation (+inf) never dip.  Conservative by at most one window
+    length at the horizon's far edge; a dip after the flight's last window is
+    not seen.
     """
     by_flight: dict[str, list[HeadingWindow]] = {}
     for w in windows:
@@ -299,16 +284,3 @@ def config_from_windows(windows: Sequence[HeadingWindow], *,
         window_length=window_length, overlap=window_length - stride,
         sample_rate=len(first.values) / window_length,
         nominal_distance=nominal_distance, nominal_lookahead=nominal_lookahead)
-
-
-def attach_labels(windows: Sequence[HeadingWindow],
-                  labels: Mapping[str, FlightLabels]) -> list[HeadingWindow]:
-    """Copy per-flight labels onto windows (windows of unlabeled flights pass through)."""
-    out = []
-    for w in windows:
-        lab = labels.get(w.flight_id)
-        if lab is None:
-            out.append(w)
-        else:
-            out.append(replace(w, safety=lab.safety, certainty=lab.certainty))
-    return out

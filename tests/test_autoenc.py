@@ -100,23 +100,21 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=25)
         assert np.array_equal(m.forward(x), m.forward(x))
 
+    # training-mode dropout runs only through loss_and_grads
     def test_train_mode_needs_rng(self):
         m = AutoencoderModel(input_length=25, seed=5)
         with pytest.raises(ValueError, match="rng"):
-            m.forward(np.zeros(25), mode="train")
+            m.loss_and_grads(np.zeros(25), train=True)
 
     def test_train_mode_dropout_masks_differ(self):
         m = AutoencoderModel(input_length=25, seed=5)
         rng = np.random.default_rng(0)
         x = np.random.default_rng(1).normal(size=25)
-        a = m.forward(x, mode="train", rng=rng)
-        b = m.forward(x, mode="train", rng=rng)
-        assert not np.array_equal(a, b)
-
-    def test_bad_mode(self):
-        m = AutoencoderModel(input_length=25, seed=5)
-        with pytest.raises(ValueError):
-            m.forward(np.zeros(25), mode="predict")
+        a = m.loss_and_grads(x, train=True, rng=rng)
+        b = m.loss_and_grads(x, train=True, rng=rng)
+        assert a != b
+        # inference mode is dropout-free
+        assert m.loss_and_grads(x) == pytest.approx(mse_loss(x, m.forward(x)), rel=1e-12)
 
 
 class TestMseLoss:

@@ -1,8 +1,12 @@
+import contextlib
 import json
 import io
+import shutil
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flightwatch import autoenc
 from flightwatch.cli import main
@@ -370,6 +374,16 @@ class TestEvaluateAndFitness:
         assert run("evaluate", "--reports", detection / "reports",
                    "--labels", labels, "--out", tmp_path / "eval") == 2
 
+    def test_evaluate_duplicate_report(self, synth_dirs, detection, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        shutil.copytree(detection / "reports", reports)
+        first = sorted(reports.glob("*.json"))[0]
+        shutil.copy(first, reports / f"{first.stem}-again.json")
+        assert run("evaluate", "--reports", reports,
+                   "--labels", synth_dirs["held"] / "labels.csv",
+                   "--out", tmp_path / "eval") == 2
+        assert f"duplicate flight ids: ['{first.stem}']" in capsys.readouterr().err
+
     def test_fitness_single_execution(self, synth_dirs, tmp_path, capsys):
         held = synth_dirs["held"]
         logs = tmp_path / "one"
@@ -396,6 +410,48 @@ class TestEvaluateAndFitness:
             assert doc["fitness"] == pytest.approx(doc["sum_dist"] - doc["ave_dtw"])
         else:
             assert doc["fitness"] == doc["sum_dist"]
+
+
+def _corrupt(text, fault, row):
+    """``text`` with one data row broken by ``fault``: an unparsable token, a
+    heading out of range, or a row cut short."""
+    lines = text.splitlines(keepends=True)
+    k = 1 + row % (len(lines) - 1)
+    fields = lines[k].rstrip("\n").split(",")
+    if fault == "token":
+        fields[2] = "1.0x"
+    elif fault == "heading":
+        fields[5] = "181.5"
+    else:
+        fields = fields[:3]
+    lines[k] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+class TestFlightIsolation:
+    """One malformed log among k never changes the other k-1 reports."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(pick=st.integers(0, 6), fault=st.sampled_from(["token", "heading", "truncated"]),
+           row=st.integers(0, 10_000))
+    def test_bad_log_leaves_other_reports_unchanged(self, synth_dirs, detection,
+                                                    tmp_path_factory, pick, fault, row):
+        held = synth_dirs["held"]
+        clean = sorted((detection / "reports").glob("*.json"))
+        root = tmp_path_factory.mktemp("iso")
+        shutil.copytree(held / "logs", root / "logs")
+        bad = sorted((root / "logs").glob("*.csv"))[pick]
+        bad.write_text(_corrupt(bad.read_text(), fault, row))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run("detect", "--model", synth_dirs["calibrated"], "--logs", root / "logs",
+                     "--obstacles", held / "obstacles.json", "--out", root / "det")
+        assert rc == 1
+        assert f"error: flight {bad.stem}:" in err.getvalue()
+        got = sorted((root / "det" / "reports").glob("*.json"))
+        assert [p.name for p in got] == [p.name for p in clean if p.stem != bad.stem]
+        for path in got:
+            assert path.read_bytes() == (detection / "reports" / path.name).read_bytes()
 
 
 class TestConfigFile:

@@ -145,6 +145,17 @@ class TestDetectStream:
         with pytest.raises(ValueError, match="out-of-order"):
             det.update(wins[0])
 
+    def test_window_of_another_flight_is_error(self):
+        config = DetectorConfig()
+        a = _windows_from_losses([0.1], flight_id="a")[0]
+        b = _windows_from_losses([0.1, 0.1], flight_id="b")[1]
+        with pytest.raises(ValueError, match="'b'.*'a'"):
+            detect_stream(_FixedLossModel(), [a, b], config)
+        det = StreamDetector(_FixedLossModel(), config, "a")
+        with pytest.raises(ValueError, match="'b'.*'a'"):
+            det.update(b)
+        assert det.report().window_indices == ()
+
     def test_losses_recorded_per_window(self):
         report = _detect([0.01, 0.04, 0.09])
         assert list(report.losses) == pytest.approx([0.01, 0.04, 0.09])
@@ -252,6 +263,15 @@ class TestVerdicts:
         labels = self._labels(("safe", "certain"), ("unsafe", "uncertain"))
         with pytest.raises(ValueError, match="f1"):
             dataset_report([DetectionReport("f0")], labels)
+
+    def test_duplicate_report_is_error(self):
+        # a second report for f0 must not hide behind the first in the counts
+        labels = self._labels(("unsafe", "uncertain"))
+        alarm = AlarmEvent(0, 5.0, 1.0, 0.9)
+        reports = [DetectionReport("f0", alarms=(alarm,), lead_time=10.0),
+                   DetectionReport("f0")]
+        with pytest.raises(ValueError, match=r"duplicate flight ids: \['f0'\]"):
+            dataset_report(reports, labels)
 
     def test_missing_label_is_error(self):
         labels = self._labels(("safe", "certain"))

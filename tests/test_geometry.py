@@ -6,12 +6,10 @@ import pytest
 from flightwatch.flightdata import ObstacleBox
 from flightwatch.geometry import (
     DistanceTrace,
-    FitnessParams,
     Trajectory,
     average_trajectory,
     dtw,
     fitness_components,
-    fitness_distance,
     min_obstacle_distance,
     point_box_distance,
     resample_by_arclength,
@@ -247,15 +245,14 @@ class TestFitness:
     def test_single_execution(self):
         box = self._setup()
         t = _line(np.linspace(-5, 5, 40), y=4.0)
-        assert fitness_distance([t], [box]) == pytest.approx(
+        assert fitness_components([t], [box])["fitness"] == pytest.approx(
             sum_dist(resample_by_arclength(t.points, 200), [box]), abs=1e-12)
 
     def test_divergent_executions_engage_dtw_term(self):
         box = self._setup()
         a = _line(np.linspace(-5, 5, 60), y=4.0)
         b = _line(np.linspace(-5, 5, 60), y=12.0)  # far apart -> big ave_dtw
-        comps = fitness_components([a, b], [box], FitnessParams(max_dtw=65.0,
-                                                                n_executions=2))
+        comps = fitness_components([a, b], [box], max_dtw=65.0)
         assert comps["ave_dtw"] > 65.0
         assert comps["fitness"] == pytest.approx(
             comps["sum_dist"] - comps["ave_dtw"], abs=1e-12)
@@ -276,18 +273,17 @@ class TestFitness:
         for y in (8.0, 6.0, 4.0, 2.5):
             a = _line(np.linspace(-5, 5, 60), y=y)
             b = _line(np.linspace(-5, 5, 60), y=y + 0.2)
-            values.append(fitness_distance([a, b], [box]))
+            values.append(fitness_components([a, b], [box])["fitness"])
         assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(values, values[1:]))
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            FitnessParams(max_dtw=0.0)
-        with pytest.raises(ValueError):
-            FitnessParams(n_executions=0)
         box = self._setup()
         t = _line([0, 1, 2], y=4.0)
-        with pytest.raises(ValueError, match="n_executions"):
-            fitness_distance([t], [box], FitnessParams(n_executions=2))
+        with pytest.raises(ValueError, match="max_dtw"):
+            fitness_components([t], [box], max_dtw=0.0)
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            fitness_components([], [box])
+        assert fitness_components([t, t], [box])["n_executions"] == 2.0
 
 
 class TestDistanceTrace:

@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from flightwatch.flightdata import FlightLabels
+from flightwatch.flightdata import FlightLabels, parse_flight_log
 from flightwatch.geometry import DistanceTrace
 from flightwatch.preprocess import (
     HeadingWindow,
     PreprocessConfig,
-    attach_labels,
     config_from_windows,
-    filter_nominal,
     filter_nominal_from_windows,
     make_windows,
     parse_window_row,
+    preprocess_flight,
     read_windows_csv,
     resample_uniform,
     unwrap_heading,
@@ -143,49 +142,62 @@ class TestMakeWindows:
         assert wins[0].safety == "unsafe" and wins[0].certainty == "uncertain"
 
 
+def filter_nominal(windows, distance_trace, config):
+    """Exact nominal filter, the oracle for ``filter_nominal_from_windows``:
+    keep windows whose obstacle distance stays above the nominal threshold for
+    the window plus the look-ahead horizon (truncated at flight end), read
+    straight off the distance trace.  Without a trace every window is kept."""
+    if distance_trace is None:
+        return list(windows)
+    return [w for w in windows
+            if distance_trace.range_min(w.start, w.end + config.nominal_lookahead)
+            > config.nominal_distance]
+
+
 class TestFilterNominal:
-    def _windows(self, duration=60.0):
-        t = _uniform_series(duration)
-        return t, make_windows(t, np.zeros_like(t), CFG)
+    def _windows(self, t, d=None):
+        trace = None if d is None else DistanceTrace(t, d)
+        return make_windows(t, np.zeros_like(t), CFG, distance_trace=trace)
 
     def test_constant_far_distance_keeps_all(self):
-        t, wins = self._windows()
-        trace = DistanceTrace(t, np.full(t.size, 5.0))
-        assert len(filter_nominal(wins, trace, CFG)) == len(wins)
+        t = _uniform_series(60.0)
+        wins = self._windows(t, np.full(t.size, 5.0))
+        assert len(filter_nominal_from_windows(wins, CFG)) == len(wins)
 
     def test_dip_within_lookahead_excludes(self):
-        t, wins = self._windows(120.0)
-        w = wins[0]  # [0, 5]
-        dip_t = w.end + 20.0
+        t = _uniform_series(120.0)
+        dip_t = 5.0 + 20.0  # 20 s past the end of window 0, [0, 5]
         d = np.full(t.size, 5.0)
         d[np.abs(t - dip_t) < 0.3] = 2.9
-        excluded = filter_nominal(wins, DistanceTrace(t, d), CFG)
-        assert w.index not in [x.index for x in excluded]
+        wins = self._windows(t, d)
+        excluded = filter_nominal_from_windows(wins, CFG)
+        assert wins[0].index not in [x.index for x in excluded]
 
     def test_dip_beyond_lookahead_keeps(self):
-        t, wins = self._windows(120.0)
-        w = wins[0]
-        dip_t = w.end + 60.0
+        t = _uniform_series(120.0)
+        dip_t = 5.0 + 60.0
         d = np.full(t.size, 5.0)
         d[np.abs(t - dip_t) < 0.3] = 2.9
-        kept = filter_nominal([w], DistanceTrace(t, d), CFG)
-        assert [x.index for x in kept] == [w.index]
+        wins = self._windows(t, d)
+        kept = filter_nominal_from_windows(wins, CFG)
+        assert [x.index for x in kept if x.index == wins[0].index] == [wins[0].index]
+        # the windows that do see the dip are dropped
+        assert len(kept) < len(wins)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(8)
         t = _uniform_series(100.0)
         d = 3.0 + 2.0 * np.abs(np.sin(t / 7.0)) + rng.uniform(0, 0.5, t.size)
-        wins = make_windows(t, np.zeros_like(t), CFG)
-        trace = DistanceTrace(t, d)
+        wins = self._windows(t, d)
         sizes = []
         for thresh in (2.0, 3.0, 4.0, 5.0):
             cfg = PreprocessConfig(nominal_distance=thresh)
-            sizes.append(len(filter_nominal(wins, trace, cfg)))
+            sizes.append(len(filter_nominal_from_windows(wins, cfg)))
         assert sizes == sorted(sizes, reverse=True)
 
     def test_no_trace_keeps_all(self):
-        _, wins = self._windows()
-        assert filter_nominal(wins, None, CFG) == list(wins)
+        wins = self._windows(_uniform_series(60.0))
+        assert filter_nominal_from_windows(wins, CFG) == list(wins)
 
     def test_window_based_filter_agrees_on_smooth_traces(self):
         # conservative window-derived filter matches the exact one away from
@@ -321,11 +333,14 @@ class TestConfigFromWindows:
 
 class TestAttachLabels:
     def test_attach(self):
-        w = HeadingWindow("f1", 0, 0.0, 5.0, np.zeros(25))
-        out = attach_labels([w], {"f1": FlightLabels("f1", "unsafe", "certain")})
-        assert out[0].safety == "unsafe" and out[0].certainty == "certain"
-        out2 = attach_labels([w], {})
-        assert out2[0].safety is None
+        # labels reach the windows through preprocess_flight
+        rows = "".join(f"{k / 5},safe,0,0,0,10\n" for k in range(31))
+        log = parse_flight_log(io.StringIO("timestamp_s,channel,x,y,z,r_deg\n" + rows),
+                               flight_id="f1")
+        out, _ = preprocess_flight(log, CFG, labels=FlightLabels("f1", "unsafe", "certain"))
+        assert out and all(w.safety == "unsafe" and w.certainty == "certain" for w in out)
+        out2, _ = preprocess_flight(log, CFG)
+        assert out2[0].safety is None and out2[0].certainty is None
 
 
 class TestConfig:
