@@ -414,7 +414,8 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
           dropout: float = 0.2, preprocess=None) -> AutoencoderModel:
     """Train an autoencoder on nominal heading windows.
 
-    ``windows`` is a sequence of HeadingWindow (or a raw (n, W) matrix).
+    ``windows`` is a sequence of HeadingWindow (or a raw (n, W) matrix); a
+    window with a non-finite value is an error.
     Early stopping watches the training loss itself: training halts once no
     epoch improves the best loss by more than ``min_delta`` for ``patience``
     consecutive epochs.  Given the same seed and data, the returned weights
@@ -423,6 +424,11 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
     x = _window_matrix(windows)
     if x.shape[0] == 0:
         raise ValueError("training needs at least one window")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        w = windows[bad[0]]
+        name = f" (flight {w.flight_id!r} index {w.index})" if hasattr(w, "flight_id") else ""
+        raise ValueError(f"training window {bad[0]}{name} is not finite")
     rng = np.random.default_rng(config.seed)
     model = AutoencoderModel(input_length=x.shape[1], filters=filters,
                              kernel_size=kernel_size, dropout=dropout, rng=rng)

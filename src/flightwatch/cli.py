@@ -1,14 +1,16 @@
 """Command-line surface tying the modules into reproducible pipelines.
 
 Commands: preprocess, train, calibrate, detect, evaluate, fitness, synth.
-Every command accepts --seed/--out/--config, snapshots its effective
-parameters into an atomically written run manifest next to its outputs, and
-exits 1 iff some items failed and the rest were processed (a flight, or a
-``detect --stream`` row, which is reported on stderr and skipped), 2 on bad
-input.  All numeric defaults are overridable by flags or by a flat key-value
-JSON config file (flag names with underscores); explicit flags win over the
-config file.  Window geometry is read from windows.csv by train and calibrate
-and from the model by ``detect``, never guessed (``--windows/--stream`` reject
+Every command accepts --seed/--out/--config.  ``main`` runs them all: given
+--out, it creates it and atomically writes a run manifest of the effective
+parameters, inputs, outputs and failures next to the outputs.  It exits 1 iff
+some items failed and the rest were processed (a flight, or a ``detect
+--stream`` row, reported on stderr and in the manifest's ``failures``), 2 on
+bad input, else 0.
+All numeric defaults are overridable by flags or by a flat key-value JSON
+config file (flag names with underscores); explicit flags win over the config
+file.  Window geometry is read from windows.csv by train and calibrate and
+from the model by ``detect``, never guessed (``--windows/--stream`` reject
 windows of another length or sample count).  ``detect`` warns when no
 calibrated threshold is given and records it in its manifest.
 """
@@ -33,24 +35,23 @@ from .geometry import fitness_components, trajectory_from_log
 MANIFEST_NAME = "run_manifest.json"
 
 
-def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
-                    outputs: list, started: float, **extra) -> None:
-    """Write the run manifest: the command, its effective parameters and seed
-    (all read from ``args``), inputs, outputs and timing."""
+def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> None:
+    """Write the run manifest into ``--out``: the command, its effective
+    parameters and seed (all read from ``args``), its result and timing."""
     doc = {
-        **extra,
+        **result,
         "command": args.command,
         "tool": "flightwatch",
         "version": __version__,
         "config": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("func", "config")},
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "inputs": [str(p) for p in result["inputs"]],
+        "outputs": [str(p) for p in result["outputs"]],
         "seed": args.seed,
         "started_at_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": time.time() - started,
     }
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out)
     tmp = outdir / (MANIFEST_NAME + ".tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     tmp.replace(outdir / MANIFEST_NAME)
@@ -59,64 +60,77 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, inputs: list,
 def _load_config_file(path: str) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
-        raise SystemExit(f"config file {path} must hold a flat JSON object")
+        raise ValueError(f"config file {path} must hold a flat JSON object")
     return doc
 
 
 def _sorted_logs(logs_dir: str) -> list[Path]:
     paths = sorted(Path(logs_dir).glob("*.csv"))
     if not paths:
-        raise SystemExit(f"no .csv flight logs found in {logs_dir}")
+        raise ValueError(f"no .csv flight logs found in {logs_dir}")
     return paths
 
 
-def cmd_preprocess(args) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    config = preprocess.PreprocessConfig(
-        window_length=args.window_s, overlap=args.overlap_s, sample_rate=args.rate_hz)
-    obstacles = None
-    if args.obstacles:
-        obstacles = parse_obstacles(args.obstacles)
-    elif args.require_distances:
-        raise SystemExit("--require-distances needs --obstacles")
-    labels = parse_labels(args.labels) if args.labels else {}
-    windows = []
-    failures = []
-    for path in _sorted_logs(args.logs):
-        fid = path.stem
+def _per_flight(items, work) -> tuple[list, dict[str, str]]:
+    """Run ``work(item)`` for each ``(flight_id, item)`` pair.  A flight that
+    raises is reported on stderr and skipped; the rest still run.  Returns
+    the results of the flights that succeeded and ``{flight_id: reason}``."""
+    results, failures = [], {}
+    for fid, item in items:
         try:
-            log = parse_flight_log(path, flight_id=fid)
-            flight_windows, trace = preprocess.preprocess_flight(
-                log, config, obstacles=obstacles, labels=labels.get(fid))
-            if args.require_distances and trace is None:
-                raise ValueError("no distance trace (missing position channel)")
-            windows.extend(flight_windows)
+            results.append(work(item))
         except Exception as exc:  # noqa: BLE001 - per-flight isolation
-            failures.append((fid, exc))
+            failures[fid] = str(exc)
             print(f"error: flight {fid}: {exc}", file=sys.stderr)
-    windows_path = out / "windows.csv"
-    preprocess.write_windows_csv(windows, windows_path,
-                                 window_samples=config.window_samples)
-    print(f"wrote {len(windows)} windows (W={config.window_samples}) to {windows_path}")
-    _write_manifest(out, args, [args.logs, args.obstacles or "", args.labels or ""],
-                    [windows_path], started)
-    return 1 if failures else 0
+    return results, failures
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _nominal_windows(args) -> tuple[list, list, preprocess.PreprocessConfig | None]:
+    """Read ``args.windows`` and filter it to nominal windows (all of them
+    under ``--no-filter``).  Returns all windows, the nominal ones, and the
+    geometry read from them (None under ``--no-filter``)."""
     windows = preprocess.read_windows_csv(args.windows)
     if not windows:
-        raise SystemExit(f"no windows in {args.windows}")
+        raise ValueError(f"no windows in {args.windows}")
+    if getattr(args, "no_filter", False):
+        return windows, windows, None
     pconf = preprocess.config_from_windows(
         windows, nominal_distance=args.nominal_dist, nominal_lookahead=args.lookahead_s)
     nominal = preprocess.filter_nominal_from_windows(windows, pconf)
     if not nominal:
-        raise SystemExit("zero nominal windows after filtering; nothing to train on")
+        raise ValueError("zero nominal windows after filtering")
+    return windows, nominal, pconf
+
+
+def cmd_preprocess(args) -> dict:
+    config = preprocess.PreprocessConfig(
+        window_length=args.window_s, overlap=args.overlap_s, sample_rate=args.rate_hz)
+    if args.require_distances and not args.obstacles:
+        raise ValueError("--require-distances needs --obstacles")
+    obstacles = parse_obstacles(args.obstacles) if args.obstacles else None
+    labels = parse_labels(args.labels) if args.labels else {}
+
+    def windows_of(path):
+        log = parse_flight_log(path, flight_id=path.stem)
+        flight_windows, trace = preprocess.preprocess_flight(
+            log, config, obstacles=obstacles, labels=labels.get(path.stem))
+        if args.require_distances and trace is None:
+            raise ValueError("no distance trace (missing position channel)")
+        return flight_windows
+
+    per_flight, failures = _per_flight(
+        ((p.stem, p) for p in _sorted_logs(args.logs)), windows_of)
+    windows = [w for flight_windows in per_flight for w in flight_windows]
+    windows_path = Path(args.out) / "windows.csv"
+    preprocess.write_windows_csv(windows, windows_path,
+                                 window_samples=config.window_samples)
+    print(f"wrote {len(windows)} windows (W={config.window_samples}) to {windows_path}")
+    return {"inputs": [args.logs, args.obstacles or "", args.labels or ""],
+            "outputs": [windows_path], "failures": failures}
+
+
+def cmd_train(args) -> dict:
+    windows, nominal, pconf = _nominal_windows(args)
     print(f"training on {len(nominal)} nominal windows "
           f"(of {len(windows)} total, filter >{args.nominal_dist}m "
           f"over next {args.lookahead_s}s)")
@@ -124,28 +138,17 @@ def cmd_train(args) -> int:
         learning_rate=args.lr, batch_size=args.batch_size, max_epochs=args.max_epochs,
         patience=args.patience, min_delta=args.min_delta, seed=args.seed)
     model = autoenc.train(nominal, tconf, preprocess=pconf)
-    model_path = out / "model.json"
+    model_path = Path(args.out) / "model.json"
     autoenc.save_model(model, model_path)
     print(f"trained {model.epochs_trained} epochs, final loss {model.final_loss:.6g}; "
           f"model written to {model_path}")
-    _write_manifest(out, args, [args.windows], [model_path], started)
-    return 0
+    return {"inputs": [args.windows], "outputs": [model_path], "failures": {}}
 
 
-def cmd_calibrate(args) -> int:
-    started = time.time()
+def cmd_calibrate(args) -> dict:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = autoenc.load_model(args.model)
-    windows = preprocess.read_windows_csv(args.windows)
-    if not windows:
-        raise SystemExit(f"no windows in {args.windows}")
-    if not args.no_filter:
-        pconf = preprocess.config_from_windows(
-            windows, nominal_distance=args.nominal_dist, nominal_lookahead=args.lookahead_s)
-        windows = preprocess.filter_nominal_from_windows(windows, pconf)
-        if not windows:
-            raise SystemExit("zero nominal windows after filtering")
+    _, windows, _ = _nominal_windows(args)
     losses = model.reconstruction_losses(windows)
     result = detector.calibrate_threshold(losses, quantile=args.quantile, bins=args.bins)
     hist_path = out / "loss_histogram.csv"
@@ -171,12 +174,10 @@ def cmd_calibrate(args) -> int:
         print(f"threshold {model.threshold!r} written into {model_path}")
     print(f"suggested threshold (quantile {args.quantile}): {result.threshold!r} "
           f"from {result.n_losses} nominal losses")
-    _write_manifest(out, args, [args.model, args.windows], outputs, started)
-    return 0
+    return {"inputs": [args.model, args.windows], "outputs": outputs, "failures": {}}
 
 
-def cmd_detect(args) -> int:
-    started = time.time()
+def cmd_detect(args) -> dict:
     model = autoenc.load_model(args.model)
     det_config = detector.DetectorConfig.from_model(
         model, threshold=args.threshold, n_consecutive=args.n_consecutive,
@@ -186,16 +187,9 @@ def cmd_detect(args) -> int:
         print(f"warning: {args.model} has no calibrated threshold and no --threshold "
               f"was given; using the default {det_config.threshold!r}", file=sys.stderr)
     if args.stream:
-        return _detect_stream_stdin(model, det_config)
-    if not args.out:
-        raise SystemExit("--out is required (unless running with --stream)")
-    out = Path(args.out)
-    reports_dir = out / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
+        return {"inputs": ["<stdin>"], "outputs": [], "threshold_calibrated": calibrated,
+                "failures": _detect_stream_stdin(model, det_config)}
     obstacles = parse_obstacles(args.obstacles) if args.obstacles else None
-    reports = []
-    failures = []
-    inputs = []
     if args.log or args.logs:
         paths = [Path(args.log)] if args.log else _sorted_logs(args.logs)
         inputs = [str(p) for p in paths]
@@ -205,17 +199,14 @@ def cmd_detect(args) -> int:
         pconf = preprocess.PreprocessConfig(window_length=model.window_length,
                                             overlap=model.overlap,
                                             sample_rate=model.sample_rate)
-        for path in paths:
-            fid = path.stem
-            try:
-                log = parse_flight_log(path, flight_id=fid)
-                windows, trace = preprocess.preprocess_flight(log, pconf,
-                                                              obstacles=obstacles)
-                report = detector.detect_stream(model, windows, det_config)
-                reports.append(detector.lead_time_analysis(report, trace, det_config))
-            except Exception as exc:  # noqa: BLE001 - per-flight isolation
-                failures.append((fid, exc))
-                print(f"error: flight {fid}: {exc}", file=sys.stderr)
+
+        def report_of(path):
+            log = parse_flight_log(path, flight_id=path.stem)
+            windows, trace = preprocess.preprocess_flight(log, pconf, obstacles=obstacles)
+            report = detector.detect_stream(model, windows, det_config)
+            return detector.lead_time_analysis(report, trace, det_config)
+
+        reports, failures = _per_flight(((p.stem, p) for p in paths), report_of)
     elif args.windows:
         inputs = [args.windows]
         by_flight: dict[str, list] = {}
@@ -224,15 +215,14 @@ def cmd_detect(args) -> int:
             _check_width(f"{args.windows}: windows", windows[0].values.size, model)
         for w in windows:
             by_flight.setdefault(w.flight_id, []).append(w)
-        for fid in sorted(by_flight):
-            try:
-                flight_windows = sorted(by_flight[fid], key=lambda w: w.index)
-                reports.append(detector.detect_stream(model, flight_windows, det_config))
-            except Exception as exc:  # noqa: BLE001
-                failures.append((fid, exc))
-                print(f"error: flight {fid}: {exc}", file=sys.stderr)
+        reports, failures = _per_flight(
+            ((fid, sorted(by_flight[fid], key=lambda w: w.index)) for fid in sorted(by_flight)),
+            lambda flight_windows: detector.detect_stream(model, flight_windows, det_config))
     else:
-        raise SystemExit("one of --log, --logs, --windows, or --stream is required")
+        raise ValueError("one of --log, --logs, --windows, or --stream is required")
+    out = Path(args.out)
+    reports_dir = out / "reports"
+    reports_dir.mkdir(exist_ok=True)
     outputs = []
     for rep in reports:
         path = reports_dir / f"{rep.flight_id}.json"
@@ -246,8 +236,8 @@ def cmd_detect(args) -> int:
     print(f"detected on {len(reports)} flights: {n_uncertain} uncertain, "
           f"{n_alarms} alarms (threshold {det_config.threshold!r}, "
           f"n={det_config.n_consecutive})")
-    _write_manifest(out, args, inputs, outputs, started, threshold_calibrated=calibrated)
-    return 1 if failures else 0
+    return {"inputs": inputs, "outputs": outputs, "failures": failures,
+            "threshold_calibrated": calibrated}
 
 
 def _check_width(what: str, width: int, model) -> None:
@@ -257,18 +247,18 @@ def _check_width(what: str, width: int, model) -> None:
                          f"the model expects {model.input_length}")
 
 
-def _detect_stream_stdin(model, det_config) -> int:
+def _detect_stream_stdin(model, det_config) -> dict[str, str]:
     """Read windowed-CSV rows from stdin; emit alarm rows as they occur.
 
     A malformed or out-of-order row is reported on stderr and skipped; the
-    rest are still scored.  Returns 1 iff a row was skipped.
+    rest are still scored.  Returns the skipped rows as ``{"row <n>": reason}``.
     """
-    skipped = 0
+    failures = {}
     try:
         reader = csv.reader(sys.stdin)
         header = next(reader, None)
         if header is None:
-            return 0
+            return failures
         width = preprocess.windows_csv_width(header)
         _check_width("stream windows", width, model)
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -285,7 +275,7 @@ def _detect_stream_stdin(model, det_config) -> int:
                         model, det_config, win.flight_id)
                 alarm = detectors[win.flight_id].update(win)
             except ValueError as exc:
-                skipped += 1
+                failures[f"row {reader.line_num}"] = str(exc)
                 print(f"error: row {reader.line_num}: {exc}", file=sys.stderr)
                 continue
             if alarm is not None:
@@ -295,17 +285,15 @@ def _detect_stream_stdin(model, det_config) -> int:
         # the consumer went away (e.g. piped into head); leave quietly and
         # hand the interpreter a writable stdout so shutdown does not complain
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1 if skipped else 0
+    return failures
 
 
-def cmd_evaluate(args) -> int:
-    started = time.time()
+def cmd_evaluate(args) -> dict:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report_paths = sorted(Path(args.reports).glob("*.json"))
     report_paths = [p for p in report_paths if p.name != MANIFEST_NAME]
     if not report_paths:
-        raise SystemExit(f"no report JSON files in {args.reports}")
+        raise ValueError(f"no report JSON files in {args.reports}")
     reports = [detector.read_report(p) for p in report_paths]
     labels = parse_labels(args.labels)
     doc = evalstats.dataset_report(reports, labels, gamma=args.gamma)
@@ -324,54 +312,48 @@ def cmd_evaluate(args) -> int:
               f"median {doc.lead_time_median:.1f}s over {len(doc.lead_times)} flights; "
               f"mean distance at first alarm "
               f"{doc.mean_distance_at_first_alarm:.2f}m")
-    _write_manifest(out, args, [args.reports, args.labels], [eval_path] + table_paths,
-                    started)
-    return 0
+    return {"inputs": [args.reports, args.labels], "outputs": [eval_path] + table_paths,
+            "failures": {}}
 
 
-def cmd_fitness(args) -> int:
-    started = time.time()
-    out = Path(args.out) if args.out else None
+def cmd_fitness(args) -> dict:
     obstacles = parse_obstacles(args.obstacles)
-    trajs = []
-    for path in _sorted_logs(args.logs):
-        log = parse_flight_log(path, flight_id=path.stem)
-        trajs.append(trajectory_from_log(log))
+    trajs = [trajectory_from_log(parse_flight_log(path, flight_id=path.stem))
+             for path in _sorted_logs(args.logs)]
     comps = fitness_components(trajs, obstacles, max_dtw=args.max_dtw,
                                resample_n=args.resample_n)
     print(f"fitness={comps['fitness']!r} (sum_dist={comps['sum_dist']!r}, "
           f"ave_dtw={comps['ave_dtw']!r}, max_dtw={args.max_dtw!r}, "
           f"n={len(trajs)})")
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        fit_path = out / "fitness.json"
+    outputs = []
+    if args.out:
+        fit_path = Path(args.out) / "fitness.json"
         fit_path.write_text(json.dumps(comps, sort_keys=True, indent=2) + "\n",
                             encoding="utf-8")
-        _write_manifest(out, args, [args.logs, args.obstacles], [fit_path], started)
-    return 0
+        outputs.append(fit_path)
+    return {"inputs": [args.logs, args.obstacles], "outputs": outputs, "failures": {}}
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
-    out = Path(args.out)
+def cmd_synth(args) -> dict:
     try:
         counts = [int(tok) for tok in args.counts.split(",")]
     except ValueError:
-        raise SystemExit(f"bad --counts {args.counts!r}, expected 4 integers") from None
+        raise ValueError(f"bad --counts {args.counts!r}, expected 4 integers") from None
     if len(counts) != len(synthgen.CLASS_NAMES) or any(c < 0 for c in counts):
-        raise SystemExit(f"--counts needs {len(synthgen.CLASS_NAMES)} non-negative "
+        raise ValueError(f"--counts needs {len(synthgen.CLASS_NAMES)} non-negative "
                          f"integers in order {','.join(synthgen.CLASS_NAMES)}")
     config = synthgen.SynthConfig(seed=args.seed, flight_duration=args.duration,
                                   sample_rate=args.rate_hz, noise_std=args.noise_std)
     dataset = synthgen.generate(config, dict(zip(synthgen.CLASS_NAMES, counts)))
+    out = Path(args.out)
     paths = synthgen.write_dataset(dataset, out)
     print(f"generated {len(dataset.flights)} flights "
           f"({', '.join(f'{k}={v}' for k, v in dataset.counts.items())}) in {out}")
-    _write_manifest(out, args, [], [p for p in paths.values()], started)
-    return 0
+    return {"inputs": [], "outputs": list(paths.values()), "failures": {}}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--out", default=None, help="output directory")
@@ -465,34 +447,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-hz", type=float, default=5.0, dest="rate_hz")
     p.set_defaults(func=cmd_synth)
 
-    return parser
+    return parser, sub.choices
 
 
-_NEEDS_OUT = {"preprocess", "train", "calibrate", "evaluate", "synth"}
+_NEEDS_OUT = {"preprocess", "train", "calibrate", "detect", "evaluate", "synth"}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        overrides = _load_config_file(args.config)
-        # reparse with config values as defaults so explicit flags still win
-        sub_actions = next(a for a in parser._actions
-                           if isinstance(a, argparse._SubParsersAction))
-        subparser = sub_actions.choices[args.command]
-        known = {a.dest for a in subparser._actions}
-        unknown = set(overrides) - known
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        subparser.set_defaults(**overrides)
-        args = parser.parse_args(argv)
-    if args.command in _NEEDS_OUT and not args.out:
-        raise SystemExit(f"{args.command} requires --out")
     try:
-        return args.func(args)
+        if args.config:
+            overrides = _load_config_file(args.config)
+            unknown = {k for k in overrides
+                       if k not in vars(args) or k in ("func", "command")}
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            # reparse with config values as defaults so explicit flags still win
+            subparsers[args.command].set_defaults(**overrides)
+            args = parser.parse_args(argv)
+        if args.command in _NEEDS_OUT and not args.out and not getattr(args, "stream", False):
+            raise ValueError(f"{args.command} requires --out")
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        started = time.time()
+        result = args.func(args)
+        if args.out:
+            _write_manifest(args, result, started)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if result["failures"] else 0
 
 
 if __name__ == "__main__":

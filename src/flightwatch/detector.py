@@ -173,6 +173,9 @@ def calibrate_threshold(nominal_losses, quantile: float = 0.999,
     losses = np.asarray(nominal_losses, dtype=float)
     if losses.size == 0:
         raise ValueError("calibration needs at least one loss value")
+    n_bad = int(np.count_nonzero(~np.isfinite(losses)))
+    if n_bad:
+        raise ValueError(f"{n_bad} of {losses.size} calibration losses are not finite")
     if not 0.0 <= quantile <= 1.0:
         raise ValueError("quantile must lie in [0, 1]")
     theta = float(np.quantile(losses, quantile))

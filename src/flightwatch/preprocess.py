@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +113,8 @@ def make_windows(timestamps, headings, config: PreprocessConfig, *,
     Window i nominally covers [i*stride, i*stride + window_length]; a trailing
     window that would extend past the series end is discarded.  Distance
     annotations come from the (independently clocked) distance trace when one
-    is given and are +inf otherwise.
+    is given and are +inf otherwise; the last window's covers the rest of the
+    trace, so that a dip after it is not lost.
     """
     ts = np.asarray(timestamps, dtype=float)
     vs = np.asarray(headings, dtype=float)
@@ -143,6 +144,9 @@ def make_windows(timestamps, headings, config: PreprocessConfig, *,
             values=chunk - chunk.mean(), win_dist=win_dist, min_dist=min_dist,
             safety=safety, certainty=certainty))
         i += 1
+    if windows and distance_trace is not None:
+        last = windows[-1]
+        windows[-1] = replace(last, win_dist=distance_trace.range_min(last.start, math.inf))
     return windows
 
 
@@ -154,8 +158,8 @@ def filter_nominal_from_windows(windows: Sequence[HeadingWindow],
     A window is kept when no window of the same flight starting within the
     look-ahead horizon dips to the nominal threshold; windows without a
     distance annotation (+inf) never dip.  Conservative by at most one window
-    length at the horizon's far edge; a dip after the flight's last window is
-    not seen.
+    length at the horizon's far edge, and near a flight's end, where the last
+    window's annotation covers the rest of the trace (see ``make_windows``).
     """
     by_flight: dict[str, list[HeadingWindow]] = {}
     for w in windows:

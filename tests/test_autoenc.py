@@ -13,6 +13,7 @@ from flightwatch.autoenc import (
     save_model,
     train,
 )
+from flightwatch.preprocess import HeadingWindow
 
 # seeds frozen so no ReLU pre-activation sits within the finite-difference
 # step of a kink (checked once; everything is deterministic)
@@ -261,6 +262,17 @@ class TestTraining:
     def test_empty_training_set_message(self, windows):
         with pytest.raises(ValueError, match="training needs at least one window"):
             train(windows, TrainConfig())
+
+    def test_non_finite_window_is_named(self):
+        x = np.zeros((10, 25))
+        x[3, 7] = np.nan
+        x[6, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^training window 3 is not finite$"):
+            train(x, TrainConfig())
+        wins = [HeadingWindow("f", i, 2.5 * i, 2.5 * i + 5, row) for i, row in enumerate(x)]
+        with pytest.raises(ValueError,
+                           match=r"^training window 3 \(flight 'f' index 3\) is not finite$"):
+            train(wins, TrainConfig())
 
     def test_loss_mostly_non_increasing(self):
         rng = np.random.default_rng(12)

@@ -1,13 +1,17 @@
 import contextlib
 import json
 import io
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flightwatch
 from flightwatch import autoenc
 from flightwatch.cli import main
 from flightwatch.detector import read_report
@@ -55,12 +59,16 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 1
         assert manifest["config"]["counts"] == "8,0,0,0"
+        assert manifest["failures"] == {}
 
-    def test_invalid_counts(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run("synth", "--counts", "1,2", "--out", tmp_path / "x")
-        with pytest.raises(SystemExit):
-            run("synth", "--counts", "1,2,three,4", "--out", tmp_path / "y")
+    def test_invalid_counts(self, tmp_path, capsys):
+        assert run("synth", "--counts", "1,2", "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == (
+            "error: --counts needs 4 non-negative integers in order "
+            "certain_safe,uncertain_safe,uncertain_unsafe,certain_unsafe\n")
+        assert run("synth", "--counts", "1,2,three,4", "--out", tmp_path / "y") == 2
+        assert capsys.readouterr().err == (
+            "error: bad --counts '1,2,three,4', expected 4 integers\n")
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -85,10 +93,10 @@ class TestPreprocess:
         header = (out / "windows.csv").read_text().splitlines()[0]
         assert header.endswith("v24")  # W=25 recorded in the header
 
-    def test_require_distances_without_obstacles(self, synth_dirs, tmp_path):
-        with pytest.raises(SystemExit):
-            run("preprocess", "--logs", synth_dirs["train"] / "logs",
-                "--require-distances", "--out", tmp_path / "x")
+    def test_require_distances_without_obstacles(self, synth_dirs, tmp_path, capsys):
+        assert run("preprocess", "--logs", synth_dirs["train"] / "logs",
+                   "--require-distances", "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "error: --require-distances needs --obstacles\n"
 
     def test_labels_attached(self, synth_dirs, tmp_path):
         held = synth_dirs["held"]
@@ -127,10 +135,30 @@ class TestTrain:
                    "--max-epochs", "30", "--seed", "5", "--out", out) == 0
         assert (out / "model.json").read_bytes() == synth_dirs["model"].read_bytes()
 
-    def test_zero_nominal_windows(self, synth_dirs, tmp_path):
-        with pytest.raises(SystemExit, match="nominal"):
-            run("train", "--windows", synth_dirs["pre"] / "windows.csv",
-                "--nominal-dist", "1000", "--out", tmp_path / "x")
+    def test_zero_nominal_windows(self, synth_dirs, tmp_path, capsys):
+        assert run("train", "--windows", synth_dirs["pre"] / "windows.csv",
+                   "--nominal-dist", "1000", "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "error: zero nominal windows after filtering\n"
+
+    def test_non_finite_window_fails_loud(self, synth_dirs, tmp_path, capsys):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[20] = "nan"
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "windows.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("train", "--windows", bad, "--out", tmp_path / "m") == 2
+        assert capsys.readouterr().err.endswith(
+            f"(flight '{fields[0]}' index {fields[1]}) is not finite\n")
+        assert not (tmp_path / "m" / "model.json").exists()
+        assert run("calibrate", "--model", synth_dirs["model"], "--windows", bad,
+                   "--out", tmp_path / "c") == 2
+        assert "1 of " in capsys.readouterr().err
+        # scoring still alarms on the window rather than dropping it
+        assert run("detect", "--model", synth_dirs["calibrated"], "--windows", bad,
+                   "--out", tmp_path / "d") == 0
+        alarms = (tmp_path / "d" / "alarms.csv").read_text().splitlines()
+        assert any(row.startswith(f"{fields[0]},{fields[1]},") for row in alarms)
 
 
 class TestCalibrate:
@@ -237,7 +265,8 @@ class TestDetect:
         captured = capsys.readouterr()
         return rc, captured.out.splitlines(), captured.err.splitlines()
 
-    def test_stream_isolates_bad_rows_and_flights(self, synth_dirs, monkeypatch, capsys):
+    def test_stream_isolates_bad_rows_and_flights(self, synth_dirs, tmp_path,
+                                                  monkeypatch, capsys):
         lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
         by_flight = {}
         for line in lines[1:]:
@@ -250,12 +279,16 @@ class TestDetect:
         rows_b[2] = rows_b[2].rsplit(",", 3)[0]          # short row
         stream = [lines[0]] + rows_a + rows_b + [by_flight[fid_a][0]]  # out of order
         rc, out, err = self._stream(synth_dirs, monkeypatch, capsys, stream,
-                                    "--threshold", "1e-6")
+                                    "--threshold", "1e-6", "--out", tmp_path / "s")
         assert rc == 1
         assert err == [
             "error: row 3: could not convert string to float: 'not-a-number'",
             "error: row 10: expected 33 fields, got 30",
             f"error: row 14: flight {fid_a}: out-of-order window index 0 after 5"]
+        manifest = json.loads((tmp_path / "s" / "run_manifest.json").read_text())
+        assert manifest["inputs"] == ["<stdin>"]
+        assert sorted(f"error: {k}: {v}" for k, v in manifest["failures"].items()) \
+            == sorted(err)
         alarmed = [line.split(",")[:2] for line in out[1:]]
         # four scored windows fill the rolling mean; every later one alarms
         assert alarmed == [[fid_a, "4"], [fid_a, "5"], [fid_b, "4"], [fid_b, "5"]]
@@ -335,6 +368,22 @@ class TestDetect:
         assert "window geometry" in capsys.readouterr().err
         assert run("detect", "--model", bare, "--windows",
                    synth_dirs["pre"] / "windows.csv", "--out", tmp_path / "det2") == 0
+
+    def test_manifest_names_failed_flight(self, synth_dirs, tmp_path, capsys):
+        held = synth_dirs["held"]
+        logs = tmp_path / "logs"
+        shutil.copytree(held / "logs", logs)
+        bad = sorted(logs.glob("*.csv"))[2]
+        bad.write_text("timestamp_s,channel,x,y,z,r_deg\n0,safe,a,b,c,d\n")
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--logs", logs,
+                   "--obstacles", held / "obstacles.json", "--out", out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert list(manifest["failures"]) == [bad.stem]
+        reason = manifest["failures"][bad.stem]
+        assert reason.startswith("line 2:")
+        assert f"error: flight {bad.stem}: {reason}\n" in capsys.readouterr().err
+        assert len(list((out / "reports").glob("*.json"))) == 6
 
 
 @pytest.fixture(scope="module")
@@ -466,11 +515,11 @@ class TestConfigFile:
         assert run("synth", "--config", cfg, "--counts", "1,0,0,0", "--out", out_b) == 0
         assert len((out_b / "labels.csv").read_text().splitlines()) == 2
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_flag": 1}))
-        with pytest.raises(SystemExit, match="unknown config keys"):
-            run("synth", "--config", cfg, "--out", tmp_path / "x")
+        assert run("synth", "--config", cfg, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['bogus_flag']\n"
 
     def test_manifest_snapshots_effective_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -480,3 +529,24 @@ class TestConfigFile:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["duration"] == 75.0
         assert manifest["version"]
+
+
+class TestExitStatus:
+    """Bad input exits the real process with status 2, not 1 (some flights
+    failed) or a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--counts", "1,2", "--out", "ds"], "error: --counts needs 4"),
+        (["preprocess", "--logs", "empty", "--out", "pre"],
+         "error: no .csv flight logs found in empty"),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, argv, message):
+        (tmp_path / "empty").mkdir()
+        src = str(Path(flightwatch.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "flightwatch.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(message)

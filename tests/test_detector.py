@@ -87,6 +87,10 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate_threshold([])
 
+    def test_non_finite_losses_are_error(self):
+        with pytest.raises(ValueError, match="^2 of 4 calibration losses are not finite$"):
+            calibrate_threshold([0.1, math.nan, math.inf, 0.2])
+
     def test_linear_interpolated_quantile(self):
         losses = np.arange(1, 101, dtype=float)  # 1..100
         result = calibrate_threshold(losses, quantile=0.5)

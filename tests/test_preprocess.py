@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flightwatch.autoenc import AutoencoderModel
+from flightwatch.detector import DetectorConfig, detect_stream
 from flightwatch.flightdata import FlightLabels, parse_flight_log
 from flightwatch.geometry import DistanceTrace
 from flightwatch.preprocess import (
@@ -20,6 +24,7 @@ from flightwatch.preprocess import (
     windows_csv_width,
     write_windows_csv,
 )
+from flightwatch.synthgen import SynthConfig, generate, wrap_heading
 
 CFG = PreprocessConfig()
 
@@ -213,6 +218,51 @@ class TestFilterNominal:
         for idx in exact - approx:
             assert any(abs(w.start - (wi.end + CFG.nominal_lookahead)) <= CFG.window_length
                        for w in wins for wi in wins if wi.index == idx)
+
+    @settings(max_examples=60, deadline=None)
+    # a dip after the last window, [55, 60], of a 61 s series
+    @example(duration=61.0, extra=0.0, dips=[(60.6, 1.0)])
+    @given(duration=st.floats(5.0, 120.0), extra=st.floats(0.0, 60.0),
+           dips=st.lists(st.tuples(st.floats(0.0, 180.0), st.floats(0.0, 5.0)),
+                         max_size=3))
+    def test_kept_windows_are_a_subset_of_the_exact_filter(self, duration, extra, dips):
+        # series lengths off the stride grid, traces that run past the last window
+        t = _uniform_series(duration)
+        t_trace = _uniform_series(duration + extra)
+        d = np.full(t_trace.size, 5.0)
+        for dip_t, depth in dips:
+            d[np.abs(t_trace - dip_t) < 0.3] = depth
+        trace = DistanceTrace(t_trace, d)
+        wins = make_windows(t, np.zeros_like(t), CFG, distance_trace=trace, flight_id="f")
+        exact = {w.index for w in filter_nominal(wins, trace, CFG)}
+        assert {w.index for w in filter_nominal_from_windows(wins, CFG)} <= exact
+
+
+@pytest.fixture(scope="module")
+def offset_flights():
+    return [flight for seed in (3, 14, 27)
+            for flight in generate(SynthConfig(seed=seed, flight_duration=120.0),
+                                   {"certain_safe": 1, "uncertain_safe": 1}).flights]
+
+
+class TestHeadingOffsetInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(pick=st.integers(0, 5), offset=st.floats(-360.0, 360.0))
+    def test_offset_leaves_windows_and_losses_unchanged(self, offset_flights, pick, offset):
+        safe = offset_flights[pick].log.channel("safe")
+        model = AutoencoderModel(input_length=25, seed=1)
+        det_config = DetectorConfig(threshold=0.05, n_consecutive=4)
+        runs = []
+        for headings in (safe["r"], wrap_heading(safe["r"] + offset)):
+            grid, series = resample_uniform(safe["timestamp"], unwrap_heading(headings),
+                                            CFG.sample_rate)
+            wins = make_windows(grid, series, CFG, flight_id="f")
+            runs.append((wins, detect_stream(model, wins, det_config)))
+        (base, base_report), (moved, moved_report) = runs
+        assert len(moved) == len(base) > 0
+        for a, b in zip(base, moved):
+            np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved_report.losses, base_report.losses, rtol=0, atol=1e-9)
 
 
 class TestWindowsCsv:
