@@ -87,12 +87,12 @@ for flight in held_out.flights:
 #    axes, agreement statistics, and lead-time summaries.
 # ---------------------------------------------------------------------------
 doc = dataset_report(reports, labels)
-for axis in (doc.uncertainty, doc.safety):
-    m = axis.metrics
+for axis, evaluation in doc["ground_truth"].items():
     shown = {k: (f"{100 * v:.1f}%" if v is not None else "n/a")
-             for k, v in m.items()}
-    print(f"{axis.ground_truth} ground truth: {shown}")
-if doc.lead_time_mean is not None:
-    print(f"mean lead time {doc.lead_time_mean:.1f}s over "
-          f"{len(doc.lead_times)} flights, mean distance at first alarm "
-          f"{doc.mean_distance_at_first_alarm:.2f}m")
+             for k, v in evaluation["metrics"].items()}
+    print(f"{axis} ground truth: {shown}")
+lead = doc["lead_time"]
+if lead["mean_s"] is not None:
+    print(f"mean lead time {lead['mean_s']:.1f}s over "
+          f"{lead['count']} flights, mean distance at first alarm "
+          f"{doc['distance_at_first_alarm']['mean_m']:.2f}m")

@@ -519,36 +519,39 @@ def load_model(path) -> AutoencoderModel:
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}, "
                          f"expected {FORMAT_VERSION}")
-    meta = doc["meta"]
-    model = AutoencoderModel(
-        input_length=int(meta["input_length"]),
-        filters=tuple(meta["filters"]),
-        kernel_size=int(meta["kernel_size"]),
-        dropout=float(meta["dropout"]),
-        rng=None,
-    )
-    model.sample_rate = meta["sample_rate"]
-    model.window_length = meta["window_length"]
-    model.overlap = meta["overlap"]
-    model.threshold = meta["threshold"]
-    model.n_consecutive = int(meta["n_consecutive"])
-    model.seed = meta["seed"]
-    model.epochs_trained = int(meta["epochs_trained"])
-    model.final_loss = meta["final_loss"]
-    model.loss_history = list(meta.get("loss_history", []))
-    by_name = dict(model.weighted_layers())
-    seen = set()
-    for spec in doc["layers"]:
-        layer = by_name.get(spec["name"])
-        if layer is None:
-            raise ValueError(f"unknown layer {spec['name']!r} in model file")
-        w = np.array(spec["w"], dtype=float).reshape(layer.w.shape)
-        b = np.array(spec["b"], dtype=float)
-        if b.shape != layer.b.shape:
-            raise ValueError(f"layer {spec['name']!r}: bias shape mismatch")
-        layer.w = w
-        layer.b = b
-        seen.add(spec["name"])
+    try:
+        meta = doc["meta"]
+        model = AutoencoderModel(
+            input_length=int(meta["input_length"]),
+            filters=tuple(meta["filters"]),
+            kernel_size=int(meta["kernel_size"]),
+            dropout=float(meta["dropout"]),
+            rng=None,
+        )
+        model.sample_rate = meta["sample_rate"]
+        model.window_length = meta["window_length"]
+        model.overlap = meta["overlap"]
+        model.threshold = meta["threshold"]
+        model.n_consecutive = int(meta["n_consecutive"])
+        model.seed = meta["seed"]
+        model.epochs_trained = int(meta["epochs_trained"])
+        model.final_loss = meta["final_loss"]
+        model.loss_history = list(meta.get("loss_history", []))
+        by_name = dict(model.weighted_layers())
+        seen = set()
+        for spec in doc["layers"]:
+            layer = by_name.get(spec["name"])
+            if layer is None:
+                raise ValueError(f"unknown layer {spec['name']!r} in model file")
+            w = np.array(spec["w"], dtype=float).reshape(layer.w.shape)
+            b = np.array(spec["b"], dtype=float)
+            if b.shape != layer.b.shape:
+                raise ValueError(f"layer {spec['name']!r}: bias shape mismatch")
+            layer.w = w
+            layer.b = b
+            seen.add(spec["name"])
+    except (KeyError, TypeError) as exc:  # a field missing or of the wrong shape
+        raise ValueError(f"corrupt model file: {type(exc).__name__}: {exc}") from None
     missing = set(by_name) - seen
     if missing:
         raise ValueError(f"model file is missing layers: {sorted(missing)}")

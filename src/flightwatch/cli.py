@@ -1,12 +1,13 @@
 """Command-line surface tying the modules into reproducible pipelines.
 
 Commands: preprocess, train, calibrate, detect, evaluate, fitness, synth.
-Every command accepts --seed/--out/--config.  ``main`` runs them all: given
---out, it creates it and atomically writes a run manifest of the effective
-parameters, inputs, outputs and failures next to the outputs.  It exits 1 iff
-some items failed and the rest were processed (a flight, or a ``detect
---stream`` row, reported on stderr and in the manifest's ``failures``), 2 on
-bad input, else 0.
+Every command accepts --out/--config; synth and train, which draw random
+numbers, also --seed.  ``main`` runs them all: given --out, it creates it and
+atomically writes a run manifest of the effective parameters, inputs, outputs
+and failures next to the outputs.  It exits 1 iff some items failed and the
+rest were processed (a flight, or a ``detect --stream`` row, reported on
+stderr and in the manifest's ``failures``), 2 on bad input (removing an
+--out it created if that is still empty), else 0.
 All numeric defaults are overridable by flags or by a flat key-value JSON
 config file (flag names with underscores); explicit flags win over the config
 file.  Window geometry is read from windows.csv by train and calibrate and
@@ -37,7 +38,8 @@ MANIFEST_NAME = "run_manifest.json"
 
 def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> None:
     """Write the run manifest into ``--out``: the command, its effective
-    parameters and seed (all read from ``args``), its result and timing."""
+    parameters and seed (all read from ``args``; the seed is None for commands
+    that draw no random numbers), its result and timing."""
     doc = {
         **result,
         "command": args.command,
@@ -47,7 +49,7 @@ def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> N
                    if k not in ("func", "config")},
         "inputs": [str(p) for p in result["inputs"]],
         "outputs": [str(p) for p in result["outputs"]],
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "started_at_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": time.time() - started,
     }
@@ -300,18 +302,17 @@ def cmd_evaluate(args) -> dict:
     eval_path = out / "evaluation.json"
     evalstats.write_evaluation_json(doc, eval_path)
     table_paths = evalstats.write_evaluation_tables(doc, out)
-    axes = {"certainty": [doc.uncertainty], "safety": [doc.safety],
-            "both": [doc.uncertainty, doc.safety]}[args.ground_truth]
-    for ax in axes:
-        m = ax.metrics
+    axes = ["certainty", "safety"] if args.ground_truth == "both" else [args.ground_truth]
+    for axis in axes:
         parts = [f"{k}={100 * v:.1f}%" if v is not None else f"{k}=n/a"
-                 for k, v in m.items()]
-        print(f"{ax.ground_truth} ground truth: " + ", ".join(parts))
-    if doc.lead_time_mean is not None:
-        print(f"lead time: mean {doc.lead_time_mean:.1f}s, "
-              f"median {doc.lead_time_median:.1f}s over {len(doc.lead_times)} flights; "
+                 for k, v in doc["ground_truth"][axis]["metrics"].items()]
+        print(f"{axis} ground truth: " + ", ".join(parts))
+    lead = doc["lead_time"]
+    if lead["mean_s"] is not None:
+        print(f"lead time: mean {lead['mean_s']:.1f}s, "
+              f"median {lead['median_s']:.1f}s over {lead['count']} flights; "
               f"mean distance at first alarm "
-              f"{doc.mean_distance_at_first_alarm:.2f}m")
+              f"{doc['distance_at_first_alarm']['mean_m']:.2f}m")
     return {"inputs": [args.reports, args.labels], "outputs": [eval_path] + table_paths,
             "failures": {}}
 
@@ -355,7 +356,6 @@ def cmd_synth(args) -> dict:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--config", default=None,
                         help="flat JSON file of flag defaults (flags override it)")
@@ -387,6 +387,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--max-epochs", type=int, default=300, dest="max_epochs")
     p.add_argument("--patience", type=int, default=20)
     p.add_argument("--min-delta", type=float, default=1e-5, dest="min_delta")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", parents=[common],
@@ -445,6 +446,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--duration", type=float, default=300.0)
     p.add_argument("--noise-std", type=float, default=1.0, dest="noise_std")
     p.add_argument("--rate-hz", type=float, default=5.0, dest="rate_hz")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_synth)
 
     return parser, sub.choices
@@ -456,6 +458,7 @@ _NEEDS_OUT = {"preprocess", "train", "calibrate", "detect", "evaluate", "synth"}
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
+    made_out = None
     try:
         if args.config:
             overrides = _load_config_file(args.config)
@@ -468,14 +471,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.command in _NEEDS_OUT and not args.out and not getattr(args, "stream", False):
             raise ValueError(f"{args.command} requires --out")
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
+        if args.out and not Path(args.out).exists():
+            made_out = Path(args.out)
+            made_out.mkdir(parents=True)
         started = time.time()
         result = args.func(args)
         if args.out:
             _write_manifest(args, result, started)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if made_out is not None and not any(made_out.iterdir()):
+            made_out.rmdir()  # leave no empty output of a rejected run behind
         return 2
     return 1 if result["failures"] else 0
 

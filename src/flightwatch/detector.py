@@ -246,7 +246,11 @@ def write_report(report: DetectionReport, path) -> None:
 
 
 def read_report(path) -> DetectionReport:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError) as exc:  # a field missing or of the wrong shape
+        raise ValueError(
+            f"{path}: not a detection report ({type(exc).__name__}: {exc})") from None
 
 
 def alarms_csv(reports: Iterable[DetectionReport]) -> str:

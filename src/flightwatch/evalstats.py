@@ -1,6 +1,6 @@
 """Evaluation statistics: confusion matrices, classification metrics,
-label-agreement analysis with Wilson confidence intervals, and the aggregate
-dataset report.
+label-agreement analysis with Wilson confidence intervals, and the evaluation
+document (``evaluation.json``), from which the flat CSV tables are derived.
 
 Proportions are kept as fractions internally; human-readable output rounds to
 one decimal percentage point.
@@ -9,12 +9,11 @@ one decimal percentage point.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -185,55 +184,25 @@ def agreement_stats(labels: Mapping[str, FlightLabels],
     return agreement_stats_from_counts(confusion(*_label_bits(labels)), gamma)
 
 
-def _agreement_cells(cm: ConfusionMatrix) -> dict[str, int]:
-    """The agreement table's cells under their output names, in table order."""
-    return {"unsafe_uncertain": cm.tp, "unsafe_certain": cm.fn,
-            "safe_uncertain": cm.fp, "safe_certain": cm.tn}
+def _interval(iv: WilsonInterval | None) -> dict | None:
+    return None if iv is None else asdict(iv)
 
 
-@dataclass(frozen=True)
-class AxisEvaluation:
-    """Confusion matrix and derived metrics for one ground-truth axis."""
-
-    ground_truth: str  # "certainty" or "safety"
-    confusion: ConfusionMatrix
-    metrics: dict[str, float | None]
-
-
-@dataclass(frozen=True)
-class PerFlightRow:
-    flight_id: str
-    safety: str
-    certainty: str
-    predicted_uncertain: bool
-    n_alarms: int
-    first_alarm_time: float | None
-    lead_time: float | None
-    distance_at_first_alarm: float | None
-
-
-@dataclass(frozen=True)
-class DatasetReport:
-    """Full evaluation document over a labeled, detected flight set."""
-
-    n_flights: int
-    uncertainty: AxisEvaluation
-    safety: AxisEvaluation
-    agreement: AgreementStats
-    lead_times: tuple[float, ...]
-    lead_time_mean: float | None
-    lead_time_median: float | None
-    mean_distance_at_first_alarm: float | None
-    per_flight: tuple[PerFlightRow, ...]
+def _axis(predicted: Mapping[str, bool], truth: Mapping[str, bool]) -> dict:
+    """Confusion counts and metrics of the alarm bit against one label."""
+    cm = confusion(predicted, truth)
+    return {"confusion": asdict(cm), "metrics": metrics(cm)}
 
 
 def dataset_report(reports: Iterable[DetectionReport],
                    labels: Mapping[str, FlightLabels],
-                   gamma: float = 0.95) -> DatasetReport:
-    """Aggregate detection reports against ground-truth labels.
+                   gamma: float = 0.95) -> dict:
+    """The evaluation document of detection reports against ground-truth
+    labels, exactly as ``evaluation.json`` holds it.
 
-    Produces both confusion matrices (certainty and safety ground truth), the
-    label-agreement statistics, lead-time summaries, and per-flight rows.
+    It holds both confusion matrices (certainty and safety ground truth),
+    the label-agreement statistics, lead-time summaries, and one row per
+    flight in flight-id order.
     """
     reports = list(reports)
     if not reports or not labels:
@@ -245,129 +214,76 @@ def dataset_report(reports: Iterable[DetectionReport],
     # any alarm flags a flight: the one bit predicts both certainty and safety
     predicted = {fid: rep.flight_uncertain for fid, rep in by_id.items()}
     uncertain, unsafe = _label_bits(labels)
-    cm_unc = confusion(predicted, uncertain)
-    cm_saf = confusion(predicted, unsafe)
-    lead_times = tuple(r.lead_time for r in reports if r.lead_time is not None)
+    ground_truth = {"certainty": _axis(predicted, uncertain),
+                    "safety": _axis(predicted, unsafe)}
+    agreement = agreement_stats_from_counts(confusion(uncertain, unsafe), gamma)
+    cm = agreement.counts
+    lead_times = [r.lead_time for r in reports if r.lead_time is not None]
     distances = [r.distance_at_first_alarm for r in reports
                  if r.distance_at_first_alarm is not None]
-    rows = []
-    for fid in sorted(labels):
-        rep = by_id[fid]
-        lab = labels[fid]
-        rows.append(PerFlightRow(
-            flight_id=fid, safety=lab.safety, certainty=lab.certainty,
-            predicted_uncertain=rep.flight_uncertain, n_alarms=len(rep.alarms),
-            first_alarm_time=rep.first_alarm_time, lead_time=rep.lead_time,
-            distance_at_first_alarm=rep.distance_at_first_alarm))
-    return DatasetReport(
-        n_flights=len(reports),
-        uncertainty=AxisEvaluation("certainty", cm_unc, metrics(cm_unc)),
-        safety=AxisEvaluation("safety", cm_saf, metrics(cm_saf)),
-        agreement=agreement_stats_from_counts(confusion(uncertain, unsafe), gamma),
-        lead_times=lead_times,
-        lead_time_mean=float(np.mean(lead_times)) if lead_times else None,
-        lead_time_median=float(np.median(lead_times)) if lead_times else None,
-        mean_distance_at_first_alarm=float(np.mean(distances)) if distances else None,
-        per_flight=tuple(rows))
-
-
-def _interval_dict(iv: WilsonInterval | None) -> dict | None:
-    if iv is None:
-        return None
-    return {"point": iv.point, "low": iv.low, "high": iv.high, "gamma": iv.gamma}
-
-
-def report_to_json_dict(report: DatasetReport) -> dict:
-    def axis(ax: AxisEvaluation) -> dict:
-        cm = ax.confusion
-        return {"confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
-                "metrics": ax.metrics}
-
     return {
-        "n_flights": report.n_flights,
-        "ground_truth": {"certainty": axis(report.uncertainty),
-                         "safety": axis(report.safety)},
+        "n_flights": len(reports),
+        "ground_truth": ground_truth,
         "label_agreement": {
-            "counts": _agreement_cells(report.agreement.counts),
-            "agreement_accuracy": report.agreement.agreement_accuracy,
-            "p_unsafe_given_uncertain": _interval_dict(report.agreement.p_unsafe_given_uncertain),
-            "p_uncertain_given_unsafe": _interval_dict(report.agreement.p_uncertain_given_unsafe),
+            "counts": {"unsafe_uncertain": cm.tp, "unsafe_certain": cm.fn,
+                       "safe_uncertain": cm.fp, "safe_certain": cm.tn},
+            "agreement_accuracy": agreement.agreement_accuracy,
+            "p_unsafe_given_uncertain": _interval(agreement.p_unsafe_given_uncertain),
+            "p_uncertain_given_unsafe": _interval(agreement.p_uncertain_given_unsafe),
         },
-        "lead_time": {"count": len(report.lead_times),
-                      "values_s": list(report.lead_times),
-                      "mean_s": report.lead_time_mean,
-                      "median_s": report.lead_time_median},
-        "distance_at_first_alarm": {"mean_m": report.mean_distance_at_first_alarm},
+        "lead_time": {"count": len(lead_times), "values_s": lead_times,
+                      "mean_s": float(np.mean(lead_times)) if lead_times else None,
+                      "median_s": float(np.median(lead_times)) if lead_times else None},
+        "distance_at_first_alarm": {
+            "mean_m": float(np.mean(distances)) if distances else None},
         "per_flight": [
-            {"flight_id": row.flight_id, "safety": row.safety, "certainty": row.certainty,
-             "predicted_uncertain": row.predicted_uncertain, "n_alarms": row.n_alarms,
-             "first_alarm_time_s": row.first_alarm_time, "lead_time_s": row.lead_time,
-             "distance_at_first_alarm_m": row.distance_at_first_alarm}
-            for row in report.per_flight
-        ],
+            {"flight_id": rep.flight_id, "safety": lab.safety, "certainty": lab.certainty,
+             "predicted_uncertain": rep.flight_uncertain, "n_alarms": len(rep.alarms),
+             "first_alarm_time_s": rep.first_alarm_time, "lead_time_s": rep.lead_time,
+             "distance_at_first_alarm_m": rep.distance_at_first_alarm}
+            for lab, rep in ((labels[fid], by_id[fid]) for fid in sorted(labels))],
     }
 
 
-def write_evaluation_json(report: DatasetReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_json_dict(report), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+def write_evaluation_json(doc: dict, path) -> None:
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
 
 
 def _pct(x: float | None) -> str:
     return "" if x is None else f"{100.0 * x:.1f}"
 
 
-def write_evaluation_tables(report: DatasetReport, outdir) -> list[Path]:
-    """Flat CSV tables of the evaluation document; returns the written paths."""
+def write_evaluation_tables(doc: dict, outdir) -> list[Path]:
+    """Flat CSV tables of the evaluation document from :func:`dataset_report`,
+    columns in the document's key order; returns the written paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write(name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        path = outdir / name
-        path.write_text(buf.getvalue(), encoding="utf-8")
-        written.append(path)
-
-    agree_rows = [
-        ["agreement_accuracy_pct", _pct(report.agreement.agreement_accuracy), "", ""],
+    agreement = doc["label_agreement"]
+    agree_rows = [["agreement_accuracy_pct", _pct(agreement["agreement_accuracy"]), "", ""]]
+    for key in ("p_unsafe_given_uncertain", "p_uncertain_given_unsafe"):
+        iv = agreement[key] or {}
+        agree_rows.append([f"{key}_pct"] + [_pct(iv.get(k)) for k in ("point", "low", "high")])
+    axes = doc["ground_truth"]
+    rows = doc["per_flight"]
+    tables = [
+        ("label_agreement.csv", ["metric", "value", "ci_low", "ci_high"], agree_rows),
+        ("label_counts.csv", list(agreement["counts"]), [agreement["counts"].values()]),
+        ("detection_metrics.csv",
+         ["ground_truth"] + [f"{k}_pct" for k in axes["certainty"]["metrics"]],
+         [[name] + [_pct(v) for v in ax["metrics"].values()] for name, ax in axes.items()]),
+        *((f"confusion_{name}.csv", list(ax["confusion"]), [ax["confusion"].values()])
+          for name, ax in axes.items()),
+        # csv writes None as an empty cell and a float as its repr
+        ("per_flight.csv", list(rows[0]),
+         [[int(v) if isinstance(v, bool) else v for v in row.values()] for row in rows]),
     ]
-    for key, iv in (("p_unsafe_given_uncertain", report.agreement.p_unsafe_given_uncertain),
-                    ("p_uncertain_given_unsafe", report.agreement.p_uncertain_given_unsafe)):
-        if iv is None:
-            agree_rows.append([f"{key}_pct", "", "", ""])
-        else:
-            agree_rows.append([f"{key}_pct", _pct(iv.point), _pct(iv.low), _pct(iv.high)])
-    _write("label_agreement.csv", ["metric", "value", "ci_low", "ci_high"], agree_rows)
-
-    cells = _agreement_cells(report.agreement.counts)
-    _write("label_counts.csv", list(cells), [list(cells.values())])
-
-    metric_rows = []
-    for ax in (report.uncertainty, report.safety):
-        m = ax.metrics
-        metric_rows.append([ax.ground_truth, _pct(m["accuracy"]), _pct(m["precision"]),
-                            _pct(m["recall"]), _pct(m["f1"])])
-    _write("detection_metrics.csv",
-           ["ground_truth", "accuracy_pct", "precision_pct", "recall_pct", "f1_pct"],
-           metric_rows)
-
-    for ax, name in ((report.uncertainty, "confusion_certainty.csv"),
-                     (report.safety, "confusion_safety.csv")):
-        cm = ax.confusion
-        _write(name, ["tp", "fp", "fn", "tn"], [[cm.tp, cm.fp, cm.fn, cm.tn]])
-
-    _write("per_flight.csv",
-           ["flight_id", "safety", "certainty", "predicted_uncertain", "n_alarms",
-            "first_alarm_time_s", "lead_time_s", "distance_at_first_alarm_m"],
-           [[row.flight_id, row.safety, row.certainty,
-             int(row.predicted_uncertain), row.n_alarms,
-             "" if row.first_alarm_time is None else repr(row.first_alarm_time),
-             "" if row.lead_time is None else repr(row.lead_time),
-             "" if row.distance_at_first_alarm is None else repr(row.distance_at_first_alarm)]
-            for row in report.per_flight])
+    written = []
+    for name, header, table_rows in tables:
+        path = outdir / name
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(table_rows)
+        written.append(path)
     return written

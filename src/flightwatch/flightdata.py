@@ -77,7 +77,7 @@ def _check_records(records: np.ndarray) -> None:
 # compared and hashed by identity: an array comparison has no single truth value
 @dataclass(frozen=True, eq=False)
 class FlightLog:
-    """All records of one flight, with identity metadata.
+    """All records of one flight.
 
     ``records`` is one read-only structured array of :data:`RECORD_DTYPE` in
     file order (built from any array with its field names): ``timestamp`` is
@@ -88,12 +88,8 @@ class FlightLog:
 
     flight_id: str
     records: np.ndarray
-    test_id: str = ""
-    execution_index: int = 0
 
     def __post_init__(self):
-        if self.execution_index < 0:
-            raise ValidationError("execution_index must be >= 0")
         records = np.asarray(self.records)
         if records.ndim != 1 or records.dtype.names != RECORD_DTYPE.names:
             raise ValidationError(f"records must be 1-D with fields {RECORD_DTYPE.names}")
@@ -165,8 +161,7 @@ def _csv_rows(stream, header: tuple[str, ...]):
         yield line_no, row
 
 
-def parse_flight_log(source, *, flight_id: str, test_id: str = "",
-                     execution_index: int = 0) -> FlightLog:
+def parse_flight_log(source, *, flight_id: str) -> FlightLog:
     """Parse one flight-log CSV into a validated :class:`FlightLog`.
 
     Raises :class:`ParseError` for malformed rows and :class:`ValidationError`
@@ -193,8 +188,7 @@ def parse_flight_log(source, *, flight_id: str, test_id: str = "",
     channel = np.char.strip(np.array(columns[1], dtype=str))
     records = np.rec.fromarrays([ts, channel, x, y, z, r], names=RECORD_DTYPE.names)
     try:
-        return FlightLog(flight_id=flight_id, records=records,
-                         test_id=test_id, execution_index=execution_index)
+        return FlightLog(flight_id=flight_id, records=records)
     except _RecordError as exc:
         raise ValidationError(f"line {numbered[exc.index][0]}: {exc.reason}") from None
 

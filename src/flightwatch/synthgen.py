@@ -217,8 +217,7 @@ def _build_flight(index: int, flight_class: str, cfg: SynthConfig) -> SyntheticF
         [np.tile(t, 2), np.repeat(("safe", "position"), n), np.tile(x, 2),
          np.tile(y, 2), np.full(2 * n, _CRUISE_ALTITUDE), np.tile(r, 2)],
         names=RECORD_DTYPE.names)
-    log = FlightLog(flight_id=flight_id, records=records,
-                    test_id=flight_class, execution_index=index)
+    log = FlightLog(flight_id=flight_id, records=records)
     labels = FlightLabels(flight_id=flight_id,
                           safety="unsafe" if unsafe else "safe",
                           certainty="uncertain" if uncertain else "certain")

@@ -550,3 +550,39 @@ class TestExitStatus:
                               timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(message)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--counts", "1,2"],
+        ["evaluate", "--reports", "empty", "--labels", "labels.csv"],
+        ["detect", "--model", "missing.json", "--logs", "empty"],
+    ], ids=["synth", "evaluate", "detect"])
+    def test_rejected_run_leaves_no_new_out(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        assert run(*argv, "--out", "bad1") == 2
+        assert not (tmp_path / "bad1").exists()
+
+    def test_rejected_run_keeps_existing_out(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("synth", "--counts", "1,2", "--out", out) == 2
+        assert out.is_dir()
+
+    @pytest.mark.parametrize("command, document, message", [
+        ("evaluate", {"flight_id": "a"},
+         "error: {path}: not a detection report (KeyError: 'alarms')\n"),
+        ("evaluate", [1, 2], "error: {path}: not a detection report (TypeError: "),
+        ("detect", {"format": "flightwatch-model", "version": 1},
+         "error: corrupt model file: KeyError: 'meta'\n"),
+    ], ids=["report-missing-key", "report-not-an-object", "model-missing-meta"])
+    def test_malformed_report_or_model_exits_2(self, tmp_path, capsys, command,
+                                               document, message):
+        path = tmp_path / "reports" / "a.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(document))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("flight_id,safety,certainty\na,safe,certain\n")
+        argv = {"evaluate": ["--reports", path.parent, "--labels", labels],
+                "detect": ["--model", path, "--log", tmp_path / "a.csv"]}[command]
+        assert run(command, *argv, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(message.format(path=path))

@@ -258,10 +258,13 @@ class TestVerdicts:
         alarm = AlarmEvent(0, 5.0, 1.0, 0.9)
         reports = [DetectionReport("f0", alarms=(alarm,)), DetectionReport("f1")]
         doc = dataset_report(reports, labels)
-        f0, f1 = doc.per_flight
-        assert f0.predicted_uncertain and not f1.predicted_uncertain
-        assert doc.uncertainty.confusion == ConfusionMatrix(tp=1, fp=0, fn=0, tn=1)
-        assert doc.safety.confusion == ConfusionMatrix(tp=0, fp=1, fn=0, tn=1)
+        f0, f1 = doc["per_flight"]
+        assert f0["predicted_uncertain"] and not f1["predicted_uncertain"]
+        axes = doc["ground_truth"]
+        assert ConfusionMatrix(**axes["certainty"]["confusion"]) == ConfusionMatrix(
+            tp=1, fp=0, fn=0, tn=1)
+        assert ConfusionMatrix(**axes["safety"]["confusion"]) == ConfusionMatrix(
+            tp=0, fp=1, fn=0, tn=1)
 
     def test_missing_report_is_error(self):
         labels = self._labels(("safe", "certain"), ("unsafe", "uncertain"))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -11,8 +13,8 @@ from flightwatch.evalstats import (
     dataset_report,
     metrics,
     normal_quantile,
-    report_to_json_dict,
     wilson,
+    write_evaluation_json,
     write_evaluation_tables,
 )
 from flightwatch.flightdata import FlightLabels
@@ -204,14 +206,16 @@ class TestDatasetReport:
     def test_aggregation(self):
         reports, labels = self._setup()
         doc = dataset_report(reports, labels)
-        assert (doc.uncertainty.confusion.tp, doc.uncertainty.confusion.tn) == (2, 2)
-        assert doc.safety.confusion.tp == 1  # u1 unsafe and flagged
-        assert doc.safety.confusion.fp == 1  # u2 safe but flagged
-        assert doc.safety.confusion.fn == 1  # c2 unsafe, silent
-        assert doc.lead_time_mean == pytest.approx(125.0)
-        assert doc.lead_time_median == pytest.approx(125.0)
-        assert doc.mean_distance_at_first_alarm == pytest.approx(3.7)
-        assert len(doc.per_flight) == 4
+        certainty = doc["ground_truth"]["certainty"]["confusion"]
+        safety = doc["ground_truth"]["safety"]["confusion"]
+        assert (certainty["tp"], certainty["tn"]) == (2, 2)
+        assert safety["tp"] == 1  # u1 unsafe and flagged
+        assert safety["fp"] == 1  # u2 safe but flagged
+        assert safety["fn"] == 1  # c2 unsafe, silent
+        assert doc["lead_time"]["mean_s"] == pytest.approx(125.0)
+        assert doc["lead_time"]["median_s"] == pytest.approx(125.0)
+        assert doc["distance_at_first_alarm"]["mean_m"] == pytest.approx(3.7)
+        assert len(doc["per_flight"]) == 4
 
     def test_lead_time_mean_example(self):
         labels = {f"f{i}": FlightLabels(f"f{i}", "unsafe", "uncertain") for i in range(3)}
@@ -219,24 +223,82 @@ class TestDatasetReport:
         reports = [DetectionReport(f"f{i}", alarms=(alarm,), lead_time=lt)
                    for i, lt in enumerate((210.0, 40.0, 50.0))]
         doc = dataset_report(reports, labels)
-        assert doc.lead_time_mean == pytest.approx(100.0)
+        assert doc["lead_time"]["mean_s"] == pytest.approx(100.0)
 
     def test_zero_flights_is_error(self):
         with pytest.raises(ValueError):
             dataset_report([], {})
 
-    def test_json_and_tables(self, tmp_path):
-        reports, labels = self._setup()
+    def _written(self, reports, labels, tmp_path):
+        """The evaluation document as written to disk, and its six tables."""
         doc = dataset_report(reports, labels)
-        js = report_to_json_dict(doc)
+        write_evaluation_json(doc, tmp_path / "evaluation.json")
+        written = write_evaluation_tables(doc, tmp_path)
+        tables = {p.name: p.read_text().splitlines() for p in written}
+        assert len(tables) == len(written) == 6
+        return json.loads((tmp_path / "evaluation.json").read_text()), tables
+
+    def test_json_and_tables(self, tmp_path):
+        js, tables = self._written(*self._setup(), tmp_path)
         assert js["n_flights"] == 4
         assert js["ground_truth"]["certainty"]["confusion"]["tp"] == 2
         assert js["label_agreement"]["counts"]["unsafe_uncertain"] == 1
-        written = write_evaluation_tables(doc, tmp_path)
-        names = {p.name for p in written}
-        assert {"label_agreement.csv", "detection_metrics.csv",
-                "confusion_certainty.csv", "confusion_safety.csv",
-                "per_flight.csv", "label_counts.csv"} <= names
-        table = (tmp_path / "detection_metrics.csv").read_text().splitlines()
-        assert table[0].startswith("ground_truth,accuracy_pct")
-        assert len(table) == 3
+        assert tables == {
+            "label_agreement.csv": [
+                "metric,value,ci_low,ci_high",
+                "agreement_accuracy_pct,50.0,,",
+                "p_unsafe_given_uncertain_pct,50.0,9.5,90.5",
+                "p_uncertain_given_unsafe_pct,50.0,9.5,90.5"],
+            "label_counts.csv": [
+                "unsafe_uncertain,unsafe_certain,safe_uncertain,safe_certain",
+                "1,1,1,1"],
+            "detection_metrics.csv": [
+                "ground_truth,accuracy_pct,precision_pct,recall_pct,f1_pct",
+                "certainty,100.0,100.0,100.0,100.0",
+                "safety,50.0,50.0,50.0,50.0"],
+            "confusion_certainty.csv": ["tp,fp,fn,tn", "2,0,0,2"],
+            "confusion_safety.csv": ["tp,fp,fn,tn", "1,1,1,1"],
+            "per_flight.csv": [
+                "flight_id,safety,certainty,predicted_uncertain,n_alarms,"
+                "first_alarm_time_s,lead_time_s,distance_at_first_alarm_m",
+                "c1,safe,certain,0,0,,,",
+                "c2,unsafe,certain,0,0,,,",
+                "u1,unsafe,uncertain,1,1,15.0,210.0,3.4",
+                "u2,safe,uncertain,1,1,15.0,40.0,4.0"],
+        }
+
+    def test_json_and_tables_without_uncertain_flights(self, tmp_path):
+        # no uncertain label: p(unsafe | uncertain) is absent; an alarm on a
+        # certain flight has a first-alarm time but no lead time or distance
+        labels = {"c1": FlightLabels("c1", "safe", "certain"),
+                  "c2": FlightLabels("c2", "unsafe", "certain"),
+                  "c3": FlightLabels("c3", "safe", "certain")}
+        reports = [DetectionReport("c1", alarms=(AlarmEvent(2, 7.5, 0.9, 0.6),)),
+                   DetectionReport("c2"), DetectionReport("c3")]
+        js, tables = self._written(reports, labels, tmp_path)
+        assert js["label_agreement"]["p_unsafe_given_uncertain"] is None
+        assert js["lead_time"] == {"count": 0, "values_s": [], "mean_s": None,
+                                   "median_s": None}
+        assert js["distance_at_first_alarm"] == {"mean_m": None}
+        assert tables == {
+            "label_agreement.csv": [
+                "metric,value,ci_low,ci_high",
+                "agreement_accuracy_pct,66.7,,",
+                "p_unsafe_given_uncertain_pct,,,",
+                "p_uncertain_given_unsafe_pct,0.0,0.0,79.3"],
+            "label_counts.csv": [
+                "unsafe_uncertain,unsafe_certain,safe_uncertain,safe_certain",
+                "0,1,0,2"],
+            "detection_metrics.csv": [
+                "ground_truth,accuracy_pct,precision_pct,recall_pct,f1_pct",
+                "certainty,66.7,0.0,,",
+                "safety,33.3,0.0,0.0,"],
+            "confusion_certainty.csv": ["tp,fp,fn,tn", "0,1,0,2"],
+            "confusion_safety.csv": ["tp,fp,fn,tn", "0,1,1,1"],
+            "per_flight.csv": [
+                "flight_id,safety,certainty,predicted_uncertain,n_alarms,"
+                "first_alarm_time_s,lead_time_s,distance_at_first_alarm_m",
+                "c1,safe,certain,1,1,7.5,,",
+                "c2,unsafe,certain,0,0,,,",
+                "c3,safe,certain,0,0,,,"],
+        }

@@ -148,17 +148,6 @@ class TestLabels:
         assert parse_labels(path) == labels
 
 
-class TestFlightLogInvariants:
-    def test_negative_execution_index(self):
-        rec = _records([0.0], ["safe"], [0.0], [0.0], [0.0], [0.0])
-        with pytest.raises(ValidationError):
-            FlightLog(flight_id="x", records=rec, execution_index=-1)
-
-    def test_identity_passthrough(self):
-        log = _parse("0.0,safe,0,0,0,0\n", test_id="t9", execution_index=3)
-        assert (log.flight_id, log.test_id, log.execution_index) == ("f1", "t9", 3)
-
-
 class TestColumnarLog:
     def test_records_are_one_read_only_array(self):
         log = _parse("0.0,safe,1,2,3,4\n0.0,position,5,6,7,8\n")
