@@ -9,15 +9,19 @@ forward and backward swapped.
 Dropout is active only during training; inference is deterministic.  Training
 is bit-reproducible given the seed: weight init, shuffle order, and the
 dropout stream all come from one generator.
+
+Training runs in float32, which halves the bytes each step moves; the trained
+weights are handed back as float64, so scoring, calibration and the saved
+model all compute in float64.  Every layer computes in its input's dtype.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+@functools.lru_cache(maxsize=256)  # a model uses a handful of shapes
 def _taps(length: int, stride: int, kernel: int):
     """Same-padded strided correlation of a long axis of ``length`` samples with
     a short one of ``out = ceil(length / stride)``: at kernel offset kk, short
@@ -48,12 +53,12 @@ def _taps(length: int, stride: int, kernel: int):
         if j0 <= j1:
             p0 = j0 * stride + kk - pl
             taps.append((kk, slice(j0, j1 + 1), slice(p0, p0 + (j1 - j0 + 1) * stride, stride)))
-    return out, taps
+    return out, tuple(taps)
 
 
 def _gather(x: np.ndarray, kernel: int, out: int, taps) -> np.ndarray:
     """im2col: (c, length, n) long signal to (c, kernel, out, n) columns."""
-    cols = np.zeros((x.shape[0], kernel, out, x.shape[2]))
+    cols = np.zeros((x.shape[0], kernel, out, x.shape[2]), dtype=x.dtype)
     for kk, short, long in taps:
         cols[:, kk, short, :] = x[:, long, :]
     return cols
@@ -61,7 +66,7 @@ def _gather(x: np.ndarray, kernel: int, out: int, taps) -> np.ndarray:
 
 def _scatter(cols: np.ndarray, length: int, taps) -> np.ndarray:
     """col2im, the adjoint of :func:`_gather`: columns summed back onto the long axis."""
-    x = np.zeros((cols.shape[0], length, cols.shape[3]))
+    x = np.zeros((cols.shape[0], length, cols.shape[3]), dtype=cols.dtype)
     for kk, short, long in taps:
         x[:, long, :] += cols[:, kk, short, :]
     return x
@@ -179,7 +184,9 @@ class Relu:
 
 
 class Dropout:
-    """Inverted dropout; identity at inference time."""
+    """Inverted dropout; identity at inference time.  A position is dropped
+    where its uniform draw is below ``rate``; kept ones are scaled by
+    ``1/(1-rate)``."""
 
     kind = "dropout"
 
@@ -198,16 +205,18 @@ class Dropout:
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        self._mask = np.where(rng.random(x.shape) < self.rate, 0.0,
-                              1.0 / (1.0 - self.rate))
-        np.multiply(x, self._mask, out=x)
-        return x
+        self._mask = rng.random(x.shape) >= self.rate
+        return self._apply(x)
 
     def backward(self, dy):
         if self._mask is None:
             return dy
-        np.multiply(dy, self._mask, out=dy)
-        return dy
+        return self._apply(dy)
+
+    def _apply(self, x):
+        np.multiply(x, self._mask, out=x)
+        x *= 1.0 / (1.0 - self.rate)
+        return x
 
 
 class Crop:
@@ -374,28 +383,50 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, params: Sequence[np.ndarray], config: TrainConfig):
+    """Adam over one flat float32 vector that holds every parameter of a model.
+
+    While it trains, each layer's ``w`` and ``b`` are views into that vector,
+    so one step is one set of array operations; :meth:`release` gives the
+    layers float64 weights again.
+    """
+
+    def __init__(self, model: AutoencoderModel, config: TrainConfig):
         self.config = config
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.layers = [layer for _, layer in model.weighted_layers()]
+        self.theta = np.concatenate([p.ravel() for _, p in model.parameters()]).astype(np.float32)
+        offset = 0
+        for layer in self.layers:
+            for name in ("w", "b"):
+                p = getattr(layer, name)
+                setattr(layer, name, self.theta[offset:offset + p.size].reshape(p.shape))
+                offset += p.size
+        self.m = np.zeros_like(self.theta)
+        self.v = np.zeros_like(self.theta)
         self.t = 0
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
+    def step(self, model: AutoencoderModel) -> None:
         cfg = self.config
+        g = np.concatenate([d.ravel() for _, d in model.gradients()])
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        self.m *= cfg.beta1
+        self.m += (1.0 - cfg.beta1) * g
+        self.v *= cfg.beta2
+        self.v += (1.0 - cfg.beta2) * (g * g)
+        self.theta -= cfg.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.epsilon)
+
+    def release(self) -> None:
+        """Replace the views with float64 copies; float32 to float64 is exact."""
+        for layer in self.layers:
+            layer.w = layer.w.astype(np.float64)
+            layer.b = layer.b.astype(np.float64)
 
 
 def _window_matrix(windows, expected_length: int | None = None) -> np.ndarray:
     if isinstance(windows, np.ndarray):
-        x = np.asarray(windows, dtype=float)
+        # a float32 matrix is training's own and stays float32
+        x = windows if windows.dtype == np.float32 else np.asarray(windows, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
     else:
@@ -415,7 +446,8 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
     """Train an autoencoder on nominal heading windows.
 
     ``windows`` is a sequence of HeadingWindow (or a raw (n, W) matrix); a
-    window with a non-finite value is an error.
+    window with a value that is not finite in float32 is an error.  Every
+    step runs in float32; the returned weights are float64.
     Early stopping watches the training loss itself: training halts once no
     epoch improves the best loss by more than ``min_delta`` for ``patience``
     consecutive epochs.  Given the same seed and data, the returned weights
@@ -424,6 +456,8 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
     x = _window_matrix(windows)
     if x.shape[0] == 0:
         raise ValueError("training needs at least one window")
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
+        x = x.astype(np.float32)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         w = windows[bad[0]]
@@ -441,8 +475,7 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
         model.sample_rate = preprocess.sample_rate
         model.window_length = preprocess.window_length
         model.overlap = preprocess.overlap
-    params = [p for _, p in model.parameters()]
-    adam = _Adam(params, config)
+    adam = _Adam(model, config)
     n = x.shape[0]
     best = math.inf
     stale = 0
@@ -453,7 +486,7 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             loss = model.loss_and_grads(x[idx], train=True, rng=rng)
-            adam.step(params, [g for _, g in model.gradients()])
+            adam.step(model)
             total += loss * idx.size
         epoch_loss = total / n
         history.append(epoch_loss)
@@ -464,6 +497,7 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
             stale += 1
             if stale >= config.patience:
                 break
+    adam.release()
     model.epochs_trained = len(history)
     model.final_loss = history[-1]
     model.loss_history = history

@@ -458,7 +458,7 @@ _NEEDS_OUT = {"preprocess", "train", "calibrate", "detect", "evaluate", "synth"}
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    made_out = None
+    made_out: list[Path] = []  # directories this run creates for --out, deepest first
     try:
         if args.config:
             overrides = _load_config_file(args.config)
@@ -471,17 +471,22 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.command in _NEEDS_OUT and not args.out and not getattr(args, "stream", False):
             raise ValueError(f"{args.command} requires --out")
-        if args.out and not Path(args.out).exists():
-            made_out = Path(args.out)
-            made_out.mkdir(parents=True)
+        if args.out:
+            out = Path(args.out)
+            missing = [d for d in (out, *out.parents) if not d.exists()]
+            if missing:
+                out.mkdir(parents=True)
+                made_out = missing
         started = time.time()
         result = args.func(args)
         if args.out:
             _write_manifest(args, result, started)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if made_out is not None and not any(made_out.iterdir()):
-            made_out.rmdir()  # leave no empty output of a rejected run behind
+        for d in made_out:  # leave no empty output of a rejected run behind
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         return 2
     return 1 if result["failures"] else 0
 

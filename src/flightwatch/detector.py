@@ -9,6 +9,7 @@ Detection is strictly causal: the decision for window i sees only windows <= i.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import json
@@ -93,9 +94,10 @@ class StreamDetector:
         self.model = model
         self.config = config
         self.flight_id = flight_id
-        self._indices: list[int] = []
-        self._times: list[float] = []
-        self._losses: list[float] = []
+        # 8 bytes a value, not a list slot plus a boxed number
+        self._indices = array.array("q")
+        self._times = array.array("d")
+        self._losses = array.array("d")
         self._alarms: list[AlarmEvent] = []
 
     def update(self, window: HeadingWindow) -> AlarmEvent | None:

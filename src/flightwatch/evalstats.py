@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -57,6 +57,9 @@ def confusion(predicted: Mapping[str, bool], truth: Mapping[str, bool]) -> Confu
     return ConfusionMatrix(tp, fp, fn, tn)
 
 
+_METRICS = ("accuracy", "precision", "recall", "f1")
+
+
 def metrics(cm: ConfusionMatrix) -> dict[str, float | None]:
     """Accuracy, precision, recall, F1; None where the denominator vanishes."""
     if cm.total == 0:
@@ -68,7 +71,7 @@ def metrics(cm: ConfusionMatrix) -> dict[str, float | None]:
         f1 = 2 * precision * recall / (precision + recall)
     else:
         f1 = None
-    return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
+    return dict(zip(_METRICS, (accuracy, precision, recall, f1)))
 
 
 # Rational approximation of the standard normal quantile (P. J. Acklam),
@@ -184,6 +187,14 @@ def agreement_stats(labels: Mapping[str, FlightLabels],
     return agreement_stats_from_counts(confusion(*_label_bits(labels)), gamma)
 
 
+# Column order of the flat tables.  The tables never follow the document's key
+# order, which json.loads of evaluation.json (keys sorted) does not keep.
+_AXES = ("certainty", "safety")
+_LABEL_COUNTS = ("unsafe_uncertain", "unsafe_certain", "safe_uncertain", "safe_certain")
+_PER_FLIGHT = ("flight_id", "safety", "certainty", "predicted_uncertain", "n_alarms",
+               "first_alarm_time_s", "lead_time_s", "distance_at_first_alarm_m")
+
+
 def _interval(iv: WilsonInterval | None) -> dict | None:
     return None if iv is None else asdict(iv)
 
@@ -214,8 +225,7 @@ def dataset_report(reports: Iterable[DetectionReport],
     # any alarm flags a flight: the one bit predicts both certainty and safety
     predicted = {fid: rep.flight_uncertain for fid, rep in by_id.items()}
     uncertain, unsafe = _label_bits(labels)
-    ground_truth = {"certainty": _axis(predicted, uncertain),
-                    "safety": _axis(predicted, unsafe)}
+    ground_truth = dict(zip(_AXES, (_axis(predicted, uncertain), _axis(predicted, unsafe))))
     agreement = agreement_stats_from_counts(confusion(uncertain, unsafe), gamma)
     cm = agreement.counts
     lead_times = [r.lead_time for r in reports if r.lead_time is not None]
@@ -225,8 +235,7 @@ def dataset_report(reports: Iterable[DetectionReport],
         "n_flights": len(reports),
         "ground_truth": ground_truth,
         "label_agreement": {
-            "counts": {"unsafe_uncertain": cm.tp, "unsafe_certain": cm.fn,
-                       "safe_uncertain": cm.fp, "safe_certain": cm.tn},
+            "counts": dict(zip(_LABEL_COUNTS, (cm.tp, cm.fn, cm.fp, cm.tn))),
             "agreement_accuracy": agreement.agreement_accuracy,
             "p_unsafe_given_uncertain": _interval(agreement.p_unsafe_given_uncertain),
             "p_uncertain_given_unsafe": _interval(agreement.p_uncertain_given_unsafe),
@@ -237,10 +246,9 @@ def dataset_report(reports: Iterable[DetectionReport],
         "distance_at_first_alarm": {
             "mean_m": float(np.mean(distances)) if distances else None},
         "per_flight": [
-            {"flight_id": rep.flight_id, "safety": lab.safety, "certainty": lab.certainty,
-             "predicted_uncertain": rep.flight_uncertain, "n_alarms": len(rep.alarms),
-             "first_alarm_time_s": rep.first_alarm_time, "lead_time_s": rep.lead_time,
-             "distance_at_first_alarm_m": rep.distance_at_first_alarm}
+            dict(zip(_PER_FLIGHT, (rep.flight_id, lab.safety, lab.certainty,
+                                   rep.flight_uncertain, len(rep.alarms), rep.first_alarm_time,
+                                   rep.lead_time, rep.distance_at_first_alarm)))
             for lab, rep in ((labels[fid], by_id[fid]) for fid in sorted(labels))],
     }
 
@@ -255,8 +263,9 @@ def _pct(x: float | None) -> str:
 
 
 def write_evaluation_tables(doc: dict, outdir) -> list[Path]:
-    """Flat CSV tables of the evaluation document from :func:`dataset_report`,
-    columns in the document's key order; returns the written paths."""
+    """Flat CSV tables of the evaluation document, as :func:`dataset_report`
+    returns it or as read back from ``evaluation.json``; returns the written
+    paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     agreement = doc["label_agreement"]
@@ -265,18 +274,18 @@ def write_evaluation_tables(doc: dict, outdir) -> list[Path]:
         iv = agreement[key] or {}
         agree_rows.append([f"{key}_pct"] + [_pct(iv.get(k)) for k in ("point", "low", "high")])
     axes = doc["ground_truth"]
-    rows = doc["per_flight"]
+    cells = [f.name for f in fields(ConfusionMatrix)]
     tables = [
         ("label_agreement.csv", ["metric", "value", "ci_low", "ci_high"], agree_rows),
-        ("label_counts.csv", list(agreement["counts"]), [agreement["counts"].values()]),
-        ("detection_metrics.csv",
-         ["ground_truth"] + [f"{k}_pct" for k in axes["certainty"]["metrics"]],
-         [[name] + [_pct(v) for v in ax["metrics"].values()] for name, ax in axes.items()]),
-        *((f"confusion_{name}.csv", list(ax["confusion"]), [ax["confusion"].values()])
-          for name, ax in axes.items()),
+        ("label_counts.csv", _LABEL_COUNTS, [[agreement["counts"][k] for k in _LABEL_COUNTS]]),
+        ("detection_metrics.csv", ["ground_truth"] + [f"{k}_pct" for k in _METRICS],
+         [[name] + [_pct(axes[name]["metrics"][k]) for k in _METRICS] for name in _AXES]),
+        *((f"confusion_{name}.csv", cells, [[axes[name]["confusion"][k] for k in cells]])
+          for name in _AXES),
         # csv writes None as an empty cell and a float as its repr
-        ("per_flight.csv", list(rows[0]),
-         [[int(v) if isinstance(v, bool) else v for v in row.values()] for row in rows]),
+        ("per_flight.csv", _PER_FLIGHT,
+         [[int(v) if isinstance(v, bool) else v for v in (row[k] for k in _PER_FLIGHT)]
+          for row in doc["per_flight"]]),
     ]
     written = []
     for name, header, table_rows in tables:

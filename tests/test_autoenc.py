@@ -7,6 +7,7 @@ from flightwatch.autoenc import (
     AutoencoderModel,
     Conv1d,
     ConvTranspose1d,
+    Dropout,
     TrainConfig,
     load_model,
     mse_loss,
@@ -116,6 +117,55 @@ class TestForward:
         assert a != b
         # inference mode is dropout-free
         assert m.loss_and_grads(x) == pytest.approx(mse_loss(x, m.forward(x)), rel=1e-12)
+
+
+class TestDropout:
+    RATE = 0.2
+
+    def test_drops_where_the_draw_is_below_rate(self):
+        shape = (16, 13, 128)
+        x = np.random.default_rng(1).normal(size=shape)
+        twin = np.random.default_rng(7).random(shape)
+        y = Dropout(self.RATE).forward(x.copy(), train=True, rng=np.random.default_rng(7))
+        assert np.array_equal(y == 0.0, twin < self.RATE)
+
+    def test_float64_matches_the_float_mask_bit_for_bit(self):
+        shape = (32, 7, 50)
+        data = np.random.default_rng(2)
+        x, dy = data.normal(size=shape), data.normal(size=shape)
+        x[0, 0, :] = -x[0, 0, :]  # signed zeros where dropped, as the float mask gives
+        scale = np.where(np.random.default_rng(9).random(shape) < self.RATE,
+                         0.0, 1.0 / (1.0 - self.RATE))
+        layer = Dropout(self.RATE)
+        y = layer.forward(x.copy(), train=True, rng=np.random.default_rng(9))
+        assert y.tobytes() == (x * scale).tobytes()
+        assert layer.backward(dy.copy()).tobytes() == (dy * scale).tobytes()
+
+    def test_keeps_float32(self):
+        shape = (4, 5, 6)
+        x = np.random.default_rng(3).normal(size=shape)
+        a = Dropout(self.RATE).forward(x.copy(), train=True, rng=np.random.default_rng(4))
+        b = Dropout(self.RATE).forward(x.astype(np.float32), train=True,
+                                       rng=np.random.default_rng(4))
+        assert b.dtype == np.float32
+        assert np.array_equal(a == 0.0, b == 0.0)
+
+
+class TestDtype:
+    @pytest.mark.parametrize("cls", [Conv1d, ConvTranspose1d])
+    def test_layers_follow_their_input_dtype(self, cls):
+        layer = cls(3, 4, 3, 2, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(layer.in_channels, 9, 5))
+        y64 = layer.forward(x)
+        dx64 = layer.backward(np.ones_like(y64))
+        dw64 = layer.dw
+        layer.w, layer.b = layer.w.astype(np.float32), layer.b.astype(np.float32)
+        y32 = layer.forward(x.astype(np.float32))
+        dx32 = layer.backward(np.ones_like(y32))
+        assert y32.dtype == dx32.dtype == layer.dw.dtype == layer.db.dtype == np.float32
+        np.testing.assert_allclose(y32, y64, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dx32, dx64, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(layer.dw, dw64, rtol=1e-5, atol=1e-5)
 
 
 class TestMseLoss:
@@ -273,6 +323,32 @@ class TestTraining:
         with pytest.raises(ValueError,
                            match=r"^training window 3 \(flight 'f' index 3\) is not finite$"):
             train(wins, TrainConfig())
+
+    def test_float32_overflow_is_named_as_not_finite(self):
+        x = np.zeros((10, 25))
+        x[4, 2] = 1e39  # finite in float64, inf in float32
+        with pytest.raises(ValueError, match=r"^training window 4 is not finite$"):
+            train(x, TrainConfig())
+        wins = [HeadingWindow("f", i, 2.5 * i, 2.5 * i + 5, row) for i, row in enumerate(x)]
+        with pytest.raises(ValueError,
+                           match=r"^training window 4 \(flight 'f' index 4\) is not finite$"):
+            train(wins, TrainConfig())
+
+    def test_returns_float64_weights_exact_in_float32(self, tmp_path):
+        x = np.random.default_rng(8).normal(0, 3, size=(150, 25))
+        model = train(x, TrainConfig(seed=6, max_epochs=3))
+        for name, p in model.parameters():
+            assert p.dtype == np.float64, name
+            assert p.flags.owndata, name
+            assert np.array_equal(p.astype(np.float32).astype(np.float64), p), name
+        save_model(model, tmp_path / "a.json")
+        loaded = load_model(tmp_path / "a.json")
+        for (name, p), (_, q) in zip(model.parameters(), loaded.parameters()):
+            assert p.tobytes() == q.tobytes(), name
+        save_model(loaded, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert model.reconstruction_losses(x).dtype == np.float64
+        assert np.array_equal(model.reconstruction_losses(x), loaded.reconstruction_losses(x))
 
     def test_loss_mostly_non_increasing(self):
         rng = np.random.default_rng(12)

@@ -160,6 +160,19 @@ class TestTrain:
         alarms = (tmp_path / "d" / "alarms.csv").read_text().splitlines()
         assert any(row.startswith(f"{fields[0]},{fields[1]},") for row in alarms)
 
+    def test_float32_overflow_window_fails_loud(self, synth_dirs, tmp_path, capsys):
+        # finite in float64, but training runs in float32, where 1e39 is inf
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[20] = "1e39"
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "windows.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("train", "--windows", bad, "--out", tmp_path / "m") == 2
+        assert capsys.readouterr().err.endswith(
+            f"(flight '{fields[0]}' index {fields[1]}) is not finite\n")
+        assert not (tmp_path / "m").exists()
+
 
 class TestCalibrate:
     def test_histogram_and_thresholded_model(self, synth_dirs):
@@ -561,6 +574,17 @@ class TestExitStatus:
         (tmp_path / "empty").mkdir()
         assert run(*argv, "--out", "bad1") == 2
         assert not (tmp_path / "bad1").exists()
+
+    def test_rejected_run_leaves_no_new_nested_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--counts", "1,2", "--out", Path("nest", "deeper", "bad1")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_run_keeps_existing_parent_of_out(self, tmp_path):
+        parent = tmp_path / "runs"
+        parent.mkdir()
+        assert run("synth", "--counts", "1,2", "--out", parent / "new" / "bad1") == 2
+        assert parent.is_dir() and list(parent.iterdir()) == []
 
     def test_rejected_run_keeps_existing_out(self, tmp_path):
         out = tmp_path / "out"

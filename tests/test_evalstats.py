@@ -267,15 +267,33 @@ class TestDatasetReport:
                 "u2,safe,uncertain,1,1,15.0,40.0,4.0"],
         }
 
-    def test_json_and_tables_without_uncertain_flights(self, tmp_path):
-        # no uncertain label: p(unsafe | uncertain) is absent; an alarm on a
-        # certain flight has a first-alarm time but no lead time or distance
+    @staticmethod
+    def _without_uncertain_flights():
         labels = {"c1": FlightLabels("c1", "safe", "certain"),
                   "c2": FlightLabels("c2", "unsafe", "certain"),
                   "c3": FlightLabels("c3", "safe", "certain")}
         reports = [DetectionReport("c1", alarms=(AlarmEvent(2, 7.5, 0.9, 0.6),)),
                    DetectionReport("c2"), DetectionReport("c3")]
-        js, tables = self._written(reports, labels, tmp_path)
+        return reports, labels
+
+    @pytest.mark.parametrize("corpus", ["uncertain", "no-uncertain"])
+    def test_tables_same_from_document_and_its_json(self, tmp_path, corpus):
+        # evaluation.json stores its keys sorted; the tables must not follow key order
+        reports, labels = (self._setup() if corpus == "uncertain"
+                           else self._without_uncertain_flights())
+        doc = dataset_report(reports, labels)
+        write_evaluation_json(doc, tmp_path / "evaluation.json")
+        read_back = json.loads((tmp_path / "evaluation.json").read_text())
+        from_doc = write_evaluation_tables(doc, tmp_path / "doc")
+        from_json = write_evaluation_tables(read_back, tmp_path / "json")
+        assert [p.name for p in from_doc] == [p.name for p in from_json]
+        for a, b in zip(from_doc, from_json):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_json_and_tables_without_uncertain_flights(self, tmp_path):
+        # no uncertain label: p(unsafe | uncertain) is absent; an alarm on a
+        # certain flight has a first-alarm time but no lead time or distance
+        js, tables = self._written(*self._without_uncertain_flights(), tmp_path)
         assert js["label_agreement"]["p_unsafe_given_uncertain"] is None
         assert js["lead_time"] == {"count": 0, "values_s": [], "mean_s": None,
                                    "median_s": None}
