@@ -9,6 +9,11 @@ forward and backward swapped.
 Dropout is active only during training; inference is deterministic.  Training
 is bit-reproducible given the seed: weight init, shuffle order, and the
 dropout stream all come from one generator.
+A layer keeps what its backward pass reads only when ``forward`` gets
+``grad=True`` (the default for a layer on its own); the model passes it only
+in :meth:`AutoencoderModel.loss_and_grads`, so scoring leaves no array on any
+layer.  It is apart from ``train`` (dropout on): the gradient check runs a
+backward pass without dropout.
 
 Training runs in float32, which halves the bytes each step moves; the trained
 weights are handed back as float64, so scoring, calibration and the saved
@@ -119,10 +124,10 @@ class Conv1d:
                         length, taps)
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+                rng: np.random.Generator | None = None, grad: bool = True) -> np.ndarray:
         flat, y = self._correlate(x)
         y += self.b[:, None, None]
-        self._cache = (flat, x.shape[1])
+        self._cache = (flat, x.shape[1]) if grad else None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -150,10 +155,10 @@ class ConvTranspose1d(Conv1d):
         return length * self.stride
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+                rng: np.random.Generator | None = None, grad: bool = True) -> np.ndarray:
         y = self._correlate_adjoint(x, self.output_length(x.shape[1]))
         y += self.b[:, None, None]
-        self._cache = x
+        self._cache = x if grad else None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -172,9 +177,9 @@ class Relu:
     def output_length(self, length: int) -> int:
         return length
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, grad=True):
         # x is this layer's own fresh buffer; rectify in place
-        self._mask = x > 0
+        self._mask = x > 0 if grad else None
         np.maximum(x, 0.0, out=x)
         return x
 
@@ -199,7 +204,7 @@ class Dropout:
     def output_length(self, length: int) -> int:
         return length
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, grad=True):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
@@ -233,8 +238,8 @@ class Crop:
             raise ValueError(f"cannot crop length {length} to {self.target}")
         return self.target
 
-    def forward(self, x, train=False, rng=None):
-        self._full = x.shape[1]
+    def forward(self, x, train=False, rng=None, grad=True):
+        self._full = x.shape[1] if grad else None
         return x[:, :self.target, :]
 
     def backward(self, dy):
@@ -309,11 +314,12 @@ class AutoencoderModel:
             lengths.append(layer.output_length(lengths[-1]))
         return lengths
 
-    def _run(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
+    def _run(self, x: np.ndarray, *, train: bool = False, rng=None,
+             grad: bool = False) -> np.ndarray:
         # internal layout is (channels, length, batch)
         h = np.ascontiguousarray(x.T)[None, :, :]
         for layer in self.layers:
-            h = layer.forward(h, train=train, rng=rng)
+            h = layer.forward(h, train=train, rng=rng, grad=grad)
         return h[0].T
 
     def forward(self, values) -> np.ndarray:
@@ -323,14 +329,14 @@ class AutoencoderModel:
         through :meth:`loss_and_grads`.
         """
         x = np.asarray(values, dtype=float)
-        y = self._run(_window_matrix(x, self.input_length), train=False, rng=None)
+        y = self._run(_window_matrix(x, self.input_length))
         return y[0] if x.ndim == 1 else y
 
     def loss_and_grads(self, x: np.ndarray, *, train: bool = False,
                        rng: np.random.Generator | None = None) -> float:
         """MSE reconstruction loss of a batch; leaves gradients on the layers."""
         x = _window_matrix(x, self.input_length)
-        recon = self._run(x, train=train, rng=rng)
+        recon = self._run(x, train=train, rng=rng, grad=True)
         diff = recon - x
         loss = float(np.mean(diff * diff))
         grad = (2.0 / diff.size) * diff
@@ -345,7 +351,7 @@ class AutoencoderModel:
         losses = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], _SCORE_BATCH):
             xb = x[lo:lo + _SCORE_BATCH]
-            rb = self._run(xb, train=False, rng=None)
+            rb = self._run(xb)
             losses[lo:lo + _SCORE_BATCH] = np.mean((rb - xb) ** 2, axis=1)
         return losses
 

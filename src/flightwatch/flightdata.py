@@ -145,31 +145,64 @@ def open_text(source, mode: str = "r") -> ContextManager[IO[str]]:
 
 
 def _csv_rows(stream, header: tuple[str, ...]):
-    """(file line, row) for each non-empty row of a CSV with the given header."""
+    """(file line, row) for each non-empty row of a CSV with the given header,
+    read from any iterable of lines.  A row the csv module cannot read (such
+    as a field over its size limit) is a :class:`ParseError` naming its line."""
     reader = csv.reader(stream)
+    line_no = 0  # the last row read; the reader fails on the one after it
     try:
-        first = next(reader)
-    except StopIteration:
-        raise ParseError("empty document, expected header row") from None
-    if tuple(h.strip() for h in first) != header:
-        raise ParseError(f"bad header {first!r}, expected {','.join(header)}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        yield line_no, row
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("empty document, expected header row")
+        if tuple(h.strip() for h in first) != header:
+            raise ParseError(f"bad header {first!r}, expected {','.join(header)}")
+        line_no = 1
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            yield line_no, row
+    except csv.Error as exc:
+        raise ParseError(f"line {line_no + 1}: {exc}") from None
 
 
-def parse_flight_log(source, *, flight_id: str) -> FlightLog:
-    """Parse one flight-log CSV into a validated :class:`FlightLog`.
+_LOG_HEADER_LINE = ",".join(LOG_HEADER) + "\n"
+# a log channel name is at most 8 characters; a longer token is reported by line
+_MAX_CHANNEL_TOKEN = 64
 
-    Raises :class:`ParseError` for malformed rows and :class:`ValidationError`
-    for invariant violations such as out-of-range headings, non-monotone
-    timestamps, or an empty safe channel; both name the file line at fault.
-    """
-    with open_text(source) as stream:
-        numbered = list(_csv_rows(stream, LOG_HEADER))
+
+def _plain_log_columns(lines: list[str]) -> list[list[str]] | None:
+    """The six columns of a log of plain rows, split without the csv module,
+    else None.  Its header line is exactly :data:`LOG_HEADER`, and every other
+    line is blank or six fields with no quote, CR or NUL, no longer than the
+    csv field size limit, and a channel token of at most 64 characters.  The
+    csv module reads such a log into the same tokens."""
+    if not lines or lines[0] != _LOG_HEADER_LINE:
+        return None
+    body = "".join(lines[1:])
+    if '"' in body or "\r" in body or "\x00" in body:
+        return None
+    rows = list(filter(None, body.split("\n")))  # csv skips blank lines
+    if (not rows or max(map(len, rows)) > csv.field_size_limit()
+            or set(map(str.count, rows, itertools.repeat(","))) != {len(LOG_HEADER) - 1}):
+        return None
+    tokens = ",".join(rows).split(",")
+    columns = [tokens[k::len(LOG_HEADER)] for k in range(len(LOG_HEADER))]
+    if max(map(len, columns[1])) > _MAX_CHANNEL_TOKEN:
+        return None
+    return columns
+
+
+def _log_records(ts, channel, x, y, z, r) -> np.ndarray:
+    channel = np.char.strip(np.array(channel, dtype=str))
+    return np.rec.fromarrays([ts, channel, x, y, z, r], names=RECORD_DTYPE.names)
+
+
+def _parse_rows(lines, *, flight_id: str) -> FlightLog:
+    """:func:`parse_flight_log` row by row through the csv module; its errors
+    name the file line at fault."""
+    numbered = list(_csv_rows(lines, LOG_HEADER))
     columns = list(zip(*(row for _, row in numbered))) or [()] * 6
     try:
         ts, x, y, z, r = (np.array(columns[k], dtype=float) for k in (0, 2, 3, 4, 5))
@@ -181,16 +214,39 @@ def parse_flight_log(source, *, flight_id: str) -> FlightLog:
                 raise ParseError(f"line {line_no}: cannot parse "
                                  f"{LOG_HEADER[k]}={row[k]!r} as a number") from None
         raise
-    if max(map(len, columns[1]), default=0) > 64:
+    if max(map(len, columns[1]), default=0) > _MAX_CHANNEL_TOKEN:
         # a garbled token must not set the width of every row's channel field
-        line_no, row = next((n, row) for n, row in numbered if len(row[1]) > 64)
-        raise ValidationError(f"line {line_no}: unknown channel {row[1][:64]!r}... (too long)")
-    channel = np.char.strip(np.array(columns[1], dtype=str))
-    records = np.rec.fromarrays([ts, channel, x, y, z, r], names=RECORD_DTYPE.names)
+        line_no, token = next((n, row[1]) for n, row in numbered
+                              if len(row[1]) > _MAX_CHANNEL_TOKEN)
+        raise ValidationError(f"line {line_no}: unknown channel "
+                              f"{token[:_MAX_CHANNEL_TOKEN]!r}... (too long)")
     try:
-        return FlightLog(flight_id=flight_id, records=records)
+        return FlightLog(flight_id=flight_id, records=_log_records(ts, columns[1], x, y, z, r))
     except _RecordError as exc:
         raise ValidationError(f"line {numbered[exc.index][0]}: {exc.reason}") from None
+
+
+def parse_flight_log(source, *, flight_id: str) -> FlightLog:
+    """Parse one flight-log CSV into a validated :class:`FlightLog`.
+
+    Raises :class:`ParseError` for malformed rows and :class:`ValidationError`
+    for invariant violations such as out-of-range headings, non-monotone
+    timestamps, or an empty safe channel; both name the file line at fault.
+
+    A log of plain rows is converted a whole column at a time; any other log,
+    and any that then fails, goes row by row through :func:`_parse_rows`.
+    """
+    with open_text(source) as stream:
+        lines = list(stream)
+    columns = _plain_log_columns(lines)
+    if columns is not None:
+        try:
+            ts, x, y, z, r = (np.array(columns[k], dtype=float) for k in (0, 2, 3, 4, 5))
+            return FlightLog(flight_id=flight_id,
+                             records=_log_records(ts, columns[1], x, y, z, r))
+        except ValueError:
+            pass  # the row reader below names the line at fault
+    return _parse_rows(lines, flight_id=flight_id)
 
 
 def serialize_flight_log(log: FlightLog) -> str:

@@ -165,27 +165,44 @@ def dtw(a, b) -> float:
     """Dynamic time warping cost between two 3D point sequences.
 
     Classic unconstrained DP with Euclidean local cost and total accumulated
-    cost (no path-length normalization).  The sweep runs over anti-diagonals,
-    which preserves the cell-by-cell accumulation order of the textbook
-    recurrence, so results match exhaustive warping-path enumeration exactly.
+    cost (no path-length normalization).  The sweep runs over anti-diagonals
+    (the wavefront form of the recurrence): each cell is its cost plus the
+    minimum of its three neighbours, as in the textbook recurrence, so results
+    match exhaustive warping-path enumeration exactly.  Costs are stored
+    diagonal-major, so each anti-diagonal is one contiguous row.
     """
     pa = _as_points(a)
     pb = _as_points(b)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("dtw requires non-empty sequences")
-    diff = pa[:, None, :] - pb[None, :, :]
-    cost = np.sqrt(np.sum(diff * diff, axis=2))
-    n, m = cost.shape
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for d in range(2, n + m + 1):
-        i = np.arange(max(1, d - m), min(n, d - 1) + 1)
-        if i.size == 0:
-            continue
-        j = d - i
-        best = np.minimum(np.minimum(acc[i - 1, j], acc[i, j - 1]), acc[i - 1, j - 1])
-        acc[i, j] = cost[i - 1, j - 1] + best
-    return float(acc[n, m])
+    n, m = pa.shape[0], pb.shape[0]
+    # squared distances summed as (dx² + dy²) + dz², the order in which
+    # np.sum(diff * diff, axis=2) adds them, one coordinate at a time
+    sq = np.zeros((n, m))
+    for k in range(3):
+        delta = pa[:, k, None] - pb[None, :, k]
+        delta *= delta
+        sq += delta
+    # skew[i + j, i] is the cost of pairing a[i] with b[j]; the strides keep
+    # every write of this view inside skew
+    skew = np.empty((n + m - 1, n))
+    cells = np.lib.stride_tricks.as_strided(
+        skew, shape=(n, m), strides=((n + 1) * skew.itemsize, n * skew.itemsize))
+    np.sqrt(sq, out=cells)
+    # accumulated costs of anti-diagonals d-2, d-1 and d of the (n+1, m+1)
+    # table, indexed by i; border cells are inf except (0, 0) = 0, so the
+    # only cell of d = 2, (1, 1), holds its own cost.  A buffer reused for d
+    # keeps stale values only below max(1, d - m), where no later read falls.
+    prev2, prev1, cur = np.full((3, n + 1), np.inf)
+    prev1[1] = skew[0, 0]
+    for d in range(3, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        best = cur[lo:hi + 1]
+        np.minimum(prev1[lo - 1:hi], prev1[lo:hi + 1], out=best)  # up, left
+        np.minimum(best, prev2[lo - 1:hi], out=best)  # diagonal
+        np.add(skew[d - 2, lo - 1:hi], best, out=best)
+        prev2, prev1, cur = prev1, cur, prev2
+    return float(prev1[n])
 
 
 def resample_by_arclength(points, n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,46 @@ class TestAdjoint:
         ref = [np.sum(conv.w * xp[None, :, j * stride:j * stride + kernel], axis=(1, 2))
                for j in range(out)]
         assert np.allclose(conv.forward(x)[:, :, 0], np.array(ref).T, rtol=1e-12, atol=1e-12)
+
+
+def _held_arrays(model):
+    """(layer kind, attribute) of each array a layer holds besides its
+    parameters and their gradients."""
+    held = []
+    for layer in model.layers:
+        for name, value in vars(layer).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if name not in ("w", "b", "dw", "db") and any(
+                    isinstance(v, np.ndarray) for v in values):
+                held.append((layer.kind, name))
+    return held
+
+
+class TestInferenceKeepsNoState:
+    def test_scoring_leaves_no_array_on_any_layer(self):
+        m = AutoencoderModel(input_length=25, seed=0)
+        x = np.random.default_rng(0).normal(scale=20.0, size=(300, 25))
+        m.loss_and_grads(x[:8])  # a backward pass needs the caches
+        assert _held_arrays(m)
+        m.reconstruction_losses(x)
+        assert _held_arrays(m) == []
+        m.loss_and_grads(x[:8])
+        m.forward(x[0])
+        assert _held_arrays(m) == []
+
+    def test_scoring_retains_no_memory(self):
+        m = AutoencoderModel(input_length=25, seed=0)
+        x = np.random.default_rng(1).normal(scale=20.0, size=(1024, 25))
+        m.reconstruction_losses(x[:4])  # warm the tap tables
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            losses = m.reconstruction_losses(x)
+            retained = tracemalloc.get_traced_memory()[0] - before - losses.nbytes
+        finally:
+            tracemalloc.stop()
+        # the backward caches of a 1,024-row batch take 17.6 MB
+        assert retained < 100_000
 
 
 class TestTraining:

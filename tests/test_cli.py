@@ -586,6 +586,19 @@ class TestExitStatus:
         assert run("synth", "--counts", "1,2", "--out", parent / "new" / "bad1") == 2
         assert parent.is_dir() and list(parent.iterdir()) == []
 
+    def test_unreadable_log_field_exits_2_without_out(self, tmp_path, capsys):
+        # a field over the csv module's size limit of 131,072 characters
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "f.csv").write_text("timestamp_s,channel,x,y,z,r_deg\n"
+                                    "0." + "0" * 200000 + "1,safe,0,0,0,0\n")
+        (tmp_path / "obstacles.json").write_text("[]")
+        assert run("fitness", "--logs", logs, "--obstacles", tmp_path / "obstacles.json",
+                   "--out", tmp_path / "fit") == 2
+        assert not (tmp_path / "fit").exists()
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: field larger than field limit")
+
     def test_rejected_run_keeps_existing_out(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

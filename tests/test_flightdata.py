@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flightwatch import flightdata
 from flightwatch.flightdata import (
     CHANNELS,
     RECORD_DTYPE,
@@ -299,3 +300,118 @@ class TestVectorisedValidation:
         else:
             with pytest.raises(ValidationError, match="safe channel is empty"):
                 FlightLog(flight_id="f", records=records)
+
+
+# longer than the csv module's default field size limit of 131,072 characters,
+# yet a finite number to float()
+_OVERLONG_NUMBER = "0." + "0" * 200000 + "1"
+
+
+class TestCsvErrors:
+    def test_overlong_log_field_is_a_parse_error_naming_its_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: field larger than field limit"):
+            _parse(_OVERLONG_NUMBER + ",safe,0,0,0,0\n")
+
+    def test_overlong_label_field_is_a_parse_error_naming_its_line(self):
+        doc = "flight_id,safety,certainty\nf1,safe,certain\n" + "f" * 131073 + ",safe,certain\n"
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
+            parse_labels(io.StringIO(doc))
+
+
+def _row_reader(text: str):
+    return flightdata._parse_rows(io.StringIO(text), flight_id="f")
+
+
+def _outcome(parse, text: str):
+    """The record bytes a parse gives, or the type and message it raises."""
+    try:
+        records = parse(text).records
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return records.dtype, records.tobytes()
+
+
+# text faults for one line of a serialised log; each takes the line without
+# its newline and a field index, and returns the replacement text
+_TEXT_FAULTS = {
+    "blank line": lambda line, k: "\n" + line,
+    "whitespace line": lambda line, k: " \t \n" + line,
+    "crlf": lambda line, k: line + "\r",
+    "cr in field": lambda line, k: _with_field(line, k, lambda f: f + "\r"),
+    "quoted field": lambda line, k: _with_field(line, k, lambda f: f'"{f}"'),
+    "5 fields": lambda line, k: ",".join(line.split(",")[:5]),
+    "7 fields": lambda line, k: line + ",0",
+    "trailing comma": lambda line, k: line + ",",
+    "hash": lambda line, k: "#" + line,
+    "overlong token": lambda line, k: _with_field(line, k, lambda f: "0." + "0" * 131071),
+    "nul": lambda line, k: _with_field(line, k, lambda f: f + "\x00"),
+    "underscore digits": lambda line, k: _with_field(line, k, lambda f: "1_0"),
+    "non-ascii digit": lambda line, k: _with_field(line, k, lambda f: "\u0661"),
+}
+
+
+def _with_field(line: str, k: int, change) -> str:
+    fields = line.split(",")
+    fields[k] = change(fields[k])
+    return ",".join(fields)
+
+
+@st.composite
+def _logs_with_text_faults(draw):
+    """A serialised valid log, its lines changed by zero to three text faults."""
+    text = serialize_flight_log(FlightLog(flight_id="f", records=draw(_valid_records())))
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(sorted(_TEXT_FAULTS)))
+        i = draw(st.integers(1, len(lines) - 1))
+        lines[i] = _TEXT_FAULTS[fault](lines[i], draw(st.integers(0, 5)))
+    return text, "\n".join(lines) + "\n"
+
+
+class TestParseMatchesRowReader:
+    """The whole-body parse gives what the csv row reader gives, bit for bit,
+    or raises what it raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_logs_with_text_faults())
+    def test_same_records_or_same_error(self, case):
+        clean, text = case
+        # the clean log takes the whole-body path, so the comparison tests it
+        assert flightdata._plain_log_columns(clean.splitlines(keepends=True)) is not None
+        parse = lambda t: parse_flight_log(io.StringIO(t), flight_id="f")  # noqa: E731
+        assert _outcome(parse, text) == _outcome(_row_reader, text)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_crlf_and_blank_lines_read_as_lf(self, ending):
+        body = "0.0,safe,1,2,3,4\n\n0.1,position,5,6,7,8\n"
+        log = _parse(body.replace("\n", ending))
+        assert log.records.tobytes() == _parse(body).records.tobytes()
+
+    def test_quoted_fields_are_read_as_csv(self):
+        log = _parse('0.0,"safe",1,2,3,"4"\n')
+        assert log.records.tolist() == [(0.0, "safe", 1.0, 2.0, 3.0, 4.0)]
+
+
+class _OneWayStream(io.StringIO):
+    """A text stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+class TestUnseekableSource:
+    def test_row_error_names_its_line(self):
+        stream = _OneWayStream(HEADER + "0.0,safe,0,0,0,0\n\n0.2,safe,0,0,0\n")
+        with pytest.raises(ParseError, match=r"^line 4: expected 6 fields, got 5$"):
+            parse_flight_log(stream, flight_id="f")
+
+    def test_validation_error_names_its_line(self):
+        stream = _OneWayStream(HEADER + "0.0,safe,0,0,0,0\n0.2,safe,0,0,0,200\n")
+        with pytest.raises(ValidationError, match=r"^line 3: heading r=200.0"):
+            parse_flight_log(stream, flight_id="f")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flightwatch.flightdata import ObstacleBox
 from flightwatch.geometry import (
@@ -50,6 +52,25 @@ def dtw_bruteforce(a, b):
 
     walk(0, 0, cost(0, 0))
     return best
+
+
+def dtw_antidiagonal(a, b):
+    """Oracle: the accumulated-cost table swept one anti-diagonal at a time,
+    each gathered and scattered by fancy indexing over the full (n+1, m+1)
+    table, with the same per-cell arithmetic as :func:`dtw`."""
+    pa = np.asarray(a, float)
+    pb = np.asarray(b, float)
+    diff = pa[:, None, :] - pb[None, :, :]
+    cost = np.sqrt(np.sum(diff * diff, axis=2))
+    n, m = cost.shape
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for d in range(2, n + m + 1):
+        i = np.arange(max(1, d - m), min(n, d - 1) + 1)
+        j = d - i
+        best = np.minimum(np.minimum(acc[i - 1, j], acc[i, j - 1]), acc[i - 1, j - 1])
+        acc[i, j] = cost[i - 1, j - 1] + best
+    return float(acc[n, m])
 
 
 class TestPointBoxDistance:
@@ -191,6 +212,24 @@ class TestDtw:
     def test_empty_sequence_is_error(self):
         with pytest.raises(ValueError):
             dtw(np.empty((0, 3)), np.zeros((2, 3)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.one_of(st.just(1), st.integers(1, 300)),
+           m=st.one_of(st.just(1), st.integers(1, 300)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-3, 1.0, 50.0]),
+           rounded=st.booleans(), identical=st.booleans())
+    @example(n=1, m=300, seed=1, scale=1.0, rounded=False, identical=False)
+    @example(n=300, m=1, seed=2, scale=1.0, rounded=False, identical=False)
+    @example(n=300, m=300, seed=3, scale=50.0, rounded=False, identical=False)
+    @example(n=300, m=300, seed=4, scale=1.0, rounded=False, identical=True)
+    def test_matches_antidiagonal_oracle_bit_for_bit(self, n, m, seed, scale, rounded,
+                                                     identical):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=scale, size=(n, 3))
+        b = a.copy() if identical else rng.normal(scale=scale, size=(m, 3))
+        if rounded:  # integer points tie many costs and zero some
+            a, b = np.round(a), np.round(b)
+        assert dtw(a, b) == dtw_antidiagonal(a, b)
 
     def test_non_negative(self):
         rng = np.random.default_rng(9)
