@@ -9,11 +9,13 @@ forward and backward swapped.
 Dropout is active only during training; inference is deterministic.  Training
 is bit-reproducible given the seed: weight init, shuffle order, and the
 dropout stream all come from one generator.
-A layer keeps what its backward pass reads only when ``forward`` gets
-``grad=True`` (the default for a layer on its own); the model passes it only
-in :meth:`AutoencoderModel.loss_and_grads`, so scoring leaves no array on any
-layer.  It is apart from ``train`` (dropout on): the gradient check runs a
-backward pass without dropout.
+Training runs each layer's ``forward`` and ``backward`` on a batch-last
+(channels, length, batch) block, one product for the whole batch, and
+``forward`` keeps what ``backward`` reads.  Inference runs each layer's
+``infer`` on a batch-first (batch, channels, length) stack instead: one
+product per window, of the shape a single window gets, so a window's loss
+bits depend neither on the batch it is scored in nor on the BLAS thread
+count.  ``infer`` keeps nothing, so scoring leaves no array on any layer.
 
 Training runs in float32, which halves the bytes each step moves; the trained
 weights are handed back as float64, so scoring, calibration and the saved
@@ -33,9 +35,10 @@ import numpy as np
 FORMAT_MAGIC = "flightwatch-model"
 FORMAT_VERSION = 1
 
-# Rows scored per product by reconstruction_losses.  Fixed, not a knob: under
-# OpenBLAS a window's loss bits depend on the size of the batch it is scored in.
-_SCORE_BATCH = 1024
+# Rows scored per chunk by reconstruction_losses: a bound on the memory a call
+# holds (about 2.3 MB of layer intermediates at 128 rows), which a window's
+# bits do not depend on.
+_SCORE_BATCH = 128
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -61,28 +64,34 @@ def _taps(length: int, stride: int, kernel: int):
     return out, tuple(taps)
 
 
-def _gather(x: np.ndarray, kernel: int, out: int, taps) -> np.ndarray:
-    """im2col: (c, length, n) long signal to (c, kernel, out, n) columns."""
-    cols = np.zeros((x.shape[0], kernel, out, x.shape[2]), dtype=x.dtype)
+def _gather(x: np.ndarray, kernel: int, out: int, taps, axis: int) -> np.ndarray:
+    """im2col along ``axis``, the long axis: a kernel axis of ``kernel`` and a
+    short axis of ``out`` take its place.  (c, length, n) becomes
+    (c, kernel, out, n) for axis 1, and (n, c, length) becomes
+    (n, c, kernel, out) for axis 2."""
+    lead = (slice(None),) * axis
+    cols = np.zeros(x.shape[:axis] + (kernel, out) + x.shape[axis + 1:], dtype=x.dtype)
     for kk, short, long in taps:
-        cols[:, kk, short, :] = x[:, long, :]
+        cols[lead + (kk, short)] = x[lead + (long,)]
     return cols
 
 
-def _scatter(cols: np.ndarray, length: int, taps) -> np.ndarray:
+def _scatter(cols: np.ndarray, length: int, taps, axis: int) -> np.ndarray:
     """col2im, the adjoint of :func:`_gather`: columns summed back onto the long axis."""
-    x = np.zeros((cols.shape[0], length, cols.shape[3]), dtype=cols.dtype)
+    lead = (slice(None),) * axis
+    x = np.zeros(cols.shape[:axis] + (length,) + cols.shape[axis + 2:], dtype=cols.dtype)
     for kk, short, long in taps:
-        x[:, long, :] += cols[:, kk, short, :]
+        x[lead + (long,)] += cols[lead + (kk, short)]
     return x
 
 
 class Conv1d:
     """Same-padded strided 1D convolution (cross-correlation).
 
-    Activations flow through the network in channels-first, batch-last layout
-    (channels, length, batch) so each layer is a single large matrix product.
-    ``w`` is (short-side channels, long-side channels, k).
+    ``forward`` takes a batch-last (channels, length, batch) block and runs
+    one matrix product for the whole batch; ``infer`` takes a batch-first
+    (batch, channels, length) stack and runs one per window.  ``w`` is
+    (short-side channels, long-side channels, k).
     """
 
     kind = "conv"
@@ -113,7 +122,7 @@ class Conv1d:
     def _correlate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Long (c, length, n) to short, unbiased; also returns the im2col columns."""
         out, taps = _taps(x.shape[1], self.stride, self.kernel_size)
-        flat = _gather(x, self.kernel_size, out, taps).reshape(-1, out * x.shape[2])
+        flat = _gather(x, self.kernel_size, out, taps, 1).reshape(-1, out * x.shape[2])
         return flat, (self.w.reshape(len(self.w), -1) @ flat).reshape(-1, out, x.shape[2])
 
     def _correlate_adjoint(self, y: np.ndarray, length: int) -> np.ndarray:
@@ -121,13 +130,23 @@ class Conv1d:
         _, taps = _taps(length, self.stride, self.kernel_size)
         cols = self.w.reshape(len(self.w), -1).T @ y.reshape(len(self.w), -1)
         return _scatter(cols.reshape(self.w.shape[1], self.kernel_size, *y.shape[1:]),
-                        length, taps)
+                        length, taps, 1)
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None, grad: bool = True) -> np.ndarray:
+                rng: np.random.Generator | None = None) -> np.ndarray:
         flat, y = self._correlate(x)
         y += self.b[:, None, None]
-        self._cache = (flat, x.shape[1]) if grad else None
+        self._cache = (flat, x.shape[1])
+        return y
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Batch-first (n, c, length) to short, keeping nothing: one product
+        per window, the one a (c, length, 1) block gets in :meth:`forward`."""
+        self._cache = None  # no backward follows inference
+        out, taps = _taps(x.shape[2], self.stride, self.kernel_size)
+        cols = _gather(x, self.kernel_size, out, taps, 2).reshape(len(x), -1, out)
+        y = np.matmul(self.w.reshape(len(self.w), -1), cols)
+        y += self.b[:, None]
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -155,10 +174,20 @@ class ConvTranspose1d(Conv1d):
         return length * self.stride
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None, grad: bool = True) -> np.ndarray:
+                rng: np.random.Generator | None = None) -> np.ndarray:
         y = self._correlate_adjoint(x, self.output_length(x.shape[1]))
         y += self.b[:, None, None]
-        self._cache = x if grad else None
+        self._cache = x
+        return y
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        self._cache = None
+        length = self.output_length(x.shape[2])
+        _, taps = _taps(length, self.stride, self.kernel_size)
+        cols = np.matmul(self.w.reshape(len(self.w), -1).T, x)
+        y = _scatter(cols.reshape(len(x), self.out_channels, self.kernel_size, -1),
+                     length, taps, 2)
+        y += self.b[:, None]
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -177,9 +206,14 @@ class Relu:
     def output_length(self, length: int) -> int:
         return length
 
-    def forward(self, x, train=False, rng=None, grad=True):
+    def forward(self, x, train=False, rng=None):
         # x is this layer's own fresh buffer; rectify in place
-        self._mask = x > 0 if grad else None
+        self._mask = x > 0
+        np.maximum(x, 0.0, out=x)
+        return x
+
+    def infer(self, x):
+        self._mask = None
         np.maximum(x, 0.0, out=x)
         return x
 
@@ -204,7 +238,7 @@ class Dropout:
     def output_length(self, length: int) -> int:
         return length
 
-    def forward(self, x, train=False, rng=None, grad=True):
+    def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
@@ -212,6 +246,10 @@ class Dropout:
             raise ValueError("training-mode dropout needs an rng")
         self._mask = rng.random(x.shape) >= self.rate
         return self._apply(x)
+
+    def infer(self, x):
+        self._mask = None
+        return x
 
     def backward(self, dy):
         if self._mask is None:
@@ -238,9 +276,12 @@ class Crop:
             raise ValueError(f"cannot crop length {length} to {self.target}")
         return self.target
 
-    def forward(self, x, train=False, rng=None, grad=True):
-        self._full = x.shape[1] if grad else None
+    def forward(self, x, train=False, rng=None):
+        self._full = x.shape[1]
         return x[:, :self.target, :]
+
+    def infer(self, x):
+        return x[:, :, :self.target]
 
     def backward(self, dy):
         pad = self._full - dy.shape[1]
@@ -314,13 +355,12 @@ class AutoencoderModel:
             lengths.append(layer.output_length(lengths[-1]))
         return lengths
 
-    def _run(self, x: np.ndarray, *, train: bool = False, rng=None,
-             grad: bool = False) -> np.ndarray:
-        # internal layout is (channels, length, batch)
-        h = np.ascontiguousarray(x.T)[None, :, :]
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        """Reconstruct an (n, W) matrix through every layer's ``infer``."""
+        h = x[:, None, :]
         for layer in self.layers:
-            h = layer.forward(h, train=train, rng=rng, grad=grad)
-        return h[0].T
+            h = layer.infer(h)
+        return h[:, 0, :]
 
     def forward(self, values) -> np.ndarray:
         """Reconstruct one window or a batch of windows, inference mode.
@@ -329,15 +369,18 @@ class AutoencoderModel:
         through :meth:`loss_and_grads`.
         """
         x = np.asarray(values, dtype=float)
-        y = self._run(_window_matrix(x, self.input_length))
+        y = self._infer(_window_matrix(x, self.input_length))
         return y[0] if x.ndim == 1 else y
 
     def loss_and_grads(self, x: np.ndarray, *, train: bool = False,
                        rng: np.random.Generator | None = None) -> float:
         """MSE reconstruction loss of a batch; leaves gradients on the layers."""
         x = _window_matrix(x, self.input_length)
-        recon = self._run(x, train=train, rng=rng, grad=True)
-        diff = recon - x
+        # internal layout is (channels, length, batch)
+        h = np.ascontiguousarray(x.T)[None, :, :]
+        for layer in self.layers:
+            h = layer.forward(h, train=train, rng=rng)
+        diff = h[0].T - x
         loss = float(np.mean(diff * diff))
         grad = (2.0 / diff.size) * diff
         h = np.ascontiguousarray(grad.T)[None, :, :]
@@ -346,12 +389,13 @@ class AutoencoderModel:
         return loss
 
     def reconstruction_losses(self, windows) -> np.ndarray:
-        """Per-window MSE reconstruction loss, inference mode."""
+        """Per-window MSE reconstruction loss, inference mode.  A window's loss
+        has the same bits in a batch of any size as on its own."""
         x = _window_matrix(windows, self.input_length)
         losses = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], _SCORE_BATCH):
             xb = x[lo:lo + _SCORE_BATCH]
-            rb = self._run(xb)
+            rb = self._infer(xb)
             losses[lo:lo + _SCORE_BATCH] = np.mean((rb - xb) ** 2, axis=1)
         return losses
 

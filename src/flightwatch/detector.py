@@ -103,6 +103,11 @@ class StreamDetector:
     def update(self, window: HeadingWindow) -> AlarmEvent | None:
         """Score one window of this detector's flight (the first window's, if
         none was given); return the alarm it raised, if any."""
+        loss = float(self.model.reconstruction_losses(window.values[None, :])[0])
+        return self._step(window, loss)
+
+    def _step(self, window: HeadingWindow, loss: float) -> AlarmEvent | None:
+        """Record one scored window and apply the rolling-mean alarm rule."""
         if not self.flight_id:
             self.flight_id = window.flight_id
         if window.flight_id != self.flight_id:
@@ -111,8 +116,6 @@ class StreamDetector:
         if self._indices and window.index <= self._indices[-1]:
             raise ValueError(f"flight {window.flight_id}: out-of-order window index "
                              f"{window.index} after {self._indices[-1]}")
-        # scored by the call calibration fits the threshold with
-        loss = float(self.model.reconstruction_losses(window.values[None, :])[0])
         self._indices.append(window.index)
         self._times.append(window.end)
         self._losses.append(loss)
@@ -137,10 +140,20 @@ class StreamDetector:
 
 def detect_stream(model: AutoencoderModel, windows: Iterable[HeadingWindow],
                   config: DetectorConfig, flight_id: str = "") -> DetectionReport:
-    """Run the incremental detector over a window stream of one flight."""
+    """Run the incremental detector over a window stream of one flight.
+
+    The whole flight is scored in one call; each window and its loss then
+    take the step :meth:`StreamDetector.update` takes.  A window's loss has
+    the same bits in a batch as on its own, so the report is the one that
+    feeding the windows to a :class:`StreamDetector` gives.
+    """
+    windows = list(windows)
+    values = (np.stack([w.values for w in windows]) if windows
+              else np.empty((0, model.input_length)))
+    losses = model.reconstruction_losses(values)
     det = StreamDetector(model, config, flight_id)
-    for w in windows:
-        det.update(w)
+    for w, loss in zip(windows, losses.tolist()):
+        det._step(w, loss)
     return det.report()
 
 

@@ -146,25 +146,26 @@ def open_text(source, mode: str = "r") -> ContextManager[IO[str]]:
 
 def _csv_rows(stream, header: tuple[str, ...]):
     """(file line, row) for each non-empty row of a CSV with the given header,
-    read from any iterable of lines.  A row the csv module cannot read (such
-    as a field over its size limit) is a :class:`ParseError` naming its line."""
+    read from any iterable of lines; a row whose quoted field spans lines is
+    numbered by its first.  A row the csv module cannot read (such as a field
+    over its size limit) is a :class:`ParseError` naming the line it stopped on."""
     reader = csv.reader(stream)
-    line_no = 0  # the last row read; the reader fails on the one after it
     try:
         first = next(reader, None)
         if first is None:
             raise ParseError("empty document, expected header row")
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"bad header {first!r}, expected {','.join(header)}")
-        line_no = 1
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            yield line_no, row
+        line_no = reader.line_num + 1  # the first line of the next row
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"line {line_no}: expected {len(header)} fields, "
+                                     f"got {len(row)}")
+                yield line_no, row
+            line_no = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(f"line {line_no + 1}: {exc}") from None
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
 
 _LOG_HEADER_LINE = ",".join(LOG_HEADER) + "\n"

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flightwatch.autoenc import (
     AutoencoderModel,
@@ -327,6 +333,70 @@ class TestInferenceKeepsNoState:
             tracemalloc.stop()
         # the backward caches of a 1,024-row batch take 17.6 MB
         assert retained < 100_000
+
+
+_INVARIANCE_SEED = 16  # a model whose 2-D batch product changes bits at 4, 5 and 7 rows
+
+
+@pytest.fixture(scope="module")
+def one_row_scores():
+    """A model, 1,024 windows of ±20 degrees, and each window's loss scored on its own."""
+    model = AutoencoderModel(input_length=25, seed=_INVARIANCE_SEED)
+    x = np.random.default_rng(0).normal(scale=20.0, size=(1024, 25))
+    one = np.concatenate([model.reconstruction_losses(x[i:i + 1]) for i in range(len(x))])
+    return model, x, one
+
+
+def _score_in_batches(model, x, sizes):
+    """Losses of ``x`` scored in consecutive batches whose sizes cycle through ``sizes``."""
+    parts, lo, k = [], 0, 0
+    while lo < len(x):
+        parts.append(model.reconstruction_losses(x[lo:lo + sizes[k % len(sizes)]]))
+        lo += sizes[k % len(sizes)]
+        k += 1
+    return np.concatenate(parts)
+
+
+class TestBatchInvariance:
+    """A window's loss has the same bits in a batch of any size as on its own."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 7, 16, 33, 100, 119, 257, 1024])
+    def test_uniform_batches_match_one_row_bits(self, one_row_scores, size):
+        model, x, one = one_row_scores
+        assert _score_in_batches(model, x, [size]).tobytes() == one.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 1024), max_size=6).flatmap(
+        lambda extra: st.permutations([4, 5, 7, 119, *extra])))
+    def test_any_split_matches_one_row_bits(self, one_row_scores, sizes):
+        model, x, one = one_row_scores
+        assert _score_in_batches(model, x, sizes).tobytes() == one.tobytes()
+
+    def test_forward_of_a_batch_matches_forward_of_each_row(self, one_row_scores):
+        model, x, _ = one_row_scores
+        batch = model.forward(x[:7])
+        assert batch.tobytes() == np.stack([model.forward(row) for row in x[:7]]).tobytes()
+
+    def test_loss_bits_do_not_depend_on_blas_threads(self):
+        # BLAS reads its thread count once, at load, so each count needs a process
+        script = (
+            "import sys, numpy as np\n"
+            "from flightwatch.autoenc import AutoencoderModel\n"
+            f"m = AutoencoderModel(input_length=25, seed={_INVARIANCE_SEED})\n"
+            "x = np.random.default_rng(0).normal(scale=20.0, size=(600, 25))\n"
+            "for n in (1, 4, 119, 600):\n"
+            "    parts = [m.reconstruction_losses(x[lo:lo + n]) for lo in range(0, 600, n)]\n"
+            "    sys.stdout.write(np.concatenate(parts).tobytes().hex() + '\\n')\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            out[threads] = proc.stdout.split()
+        assert len(out["1"]) == 4 and len(set(out["1"])) == 1
+        assert out["1"] == out["2"]
 
 
 class TestTraining:

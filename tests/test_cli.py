@@ -272,6 +272,41 @@ class TestDetect:
         batch_lines = (batch_out / "alarms.csv").read_text().splitlines()
         assert sorted(out_lines[1:]) == sorted(batch_lines[1:])
 
+    def test_stream_and_windows_alarm_rows_are_byte_identical(self, synth_dirs, tmp_path,
+                                                              monkeypatch, capsys):
+        held = synth_dirs["held"]
+        pre = tmp_path / "pre"
+        run("preprocess", "--logs", held / "logs", "--out", pre)
+        capsys.readouterr()
+        # every window from the fourth of a flight on alarms, so every loss is in a row
+        assert run("detect", "--model", synth_dirs["calibrated"], "--threshold", "1e-9",
+                   "--windows", pre / "windows.csv", "--out", tmp_path / "det") == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", io.StringIO((pre / "windows.csv").read_text()))
+        assert run("detect", "--model", synth_dirs["calibrated"], "--threshold", "1e-9",
+                   "--stream") == 0
+        streamed = capsys.readouterr().out
+        batch = (tmp_path / "det" / "alarms.csv").read_text()
+        assert len(batch.splitlines()) > 7 * 20
+        assert streamed == batch
+
+    def test_logs_are_scored_in_one_call_per_flight(self, synth_dirs, tmp_path, monkeypatch):
+        calls = []
+        score = autoenc.AutoencoderModel.reconstruction_losses
+
+        def counted(model, windows):
+            calls.append(len(windows))
+            return score(model, windows)
+
+        monkeypatch.setattr(autoenc.AutoencoderModel, "reconstruction_losses", counted)
+        held = synth_dirs["held"]
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--logs", held / "logs",
+                   "--obstacles", held / "obstacles.json", "--out", out) == 0
+        reports = [read_report(p) for p in sorted((out / "reports").glob("*.json"))]
+        assert len(reports) == 7
+        assert sorted(calls) == sorted(len(r.losses) for r in reports)
+
     def _stream(self, synth_dirs, monkeypatch, capsys, lines, *extra):
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
         rc = run("detect", "--model", synth_dirs["calibrated"], "--stream", *extra)

@@ -335,7 +335,7 @@ class TestModelIntegration:
         config = DetectorConfig(threshold=1e9)
         report = detect_stream(model, wins, config)
         batch = model.reconstruction_losses(wins)
-        assert np.allclose(report.losses, batch, atol=1e-12)
+        assert list(report.losses) == batch.tolist()
 
     def test_real_model_stream_equals_detect_stream_exactly(self):
         model = AutoencoderModel(input_length=25, seed=3)

@@ -317,6 +317,21 @@ class TestCsvErrors:
         with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
             parse_labels(io.StringIO(doc))
 
+    # a quoted field that spans lines 2-3 moves every later row down one line
+    def test_log_lines_counted_past_a_field_spanning_lines(self):
+        body = '0.0,"sa\nfe",0,0,0,0\n0.2,safe,0,0,0,bad\n'
+        with pytest.raises(ParseError, match=r"^line 4: cannot parse r_deg='bad' as a number$"):
+            _parse(body)
+
+    def test_label_lines_counted_past_a_field_spanning_lines(self):
+        doc = 'flight_id,safety,certainty\n"f\n1",safe,certain\nf2,safe,bogus\n'
+        with pytest.raises(ValidationError, match=r"^line 4: unknown certainty label 'bogus'$"):
+            parse_labels(io.StringIO(doc))
+
+    def test_row_spanning_lines_is_named_by_its_first(self):
+        with pytest.raises(ValidationError, match=r"^line 2: unknown channel 'sa\\nfe'"):
+            _parse('0.0,"sa\nfe",0,0,0,0\n')
+
 
 def _row_reader(text: str):
     return flightdata._parse_rows(io.StringIO(text), flight_id="f")
