@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -452,12 +453,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every call of :func:`main` parses with; nothing changes it
+    once it is built."""
+    return _build_parser()[0]
+
+
 _NEEDS_OUT = {"preprocess", "train", "calibrate", "detect", "evaluate", "synth"}
 
 
 def main(argv=None) -> int:
-    parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     made_out: list[Path] = []  # directories this run creates for --out, deepest first
     try:
         if args.config:
@@ -466,7 +473,9 @@ def main(argv=None) -> int:
                        if k not in vars(args) or k in ("func", "command")}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            # reparse with config values as defaults so explicit flags still win
+            # reparse with config values as defaults so explicit flags still
+            # win, on a parser of this call's own that no later call sees
+            parser, subparsers = _build_parser()
             subparsers[args.command].set_defaults(**overrides)
             args = parser.parse_args(argv)
         if args.command in _NEEDS_OUT and not args.out and not getattr(args, "stream", False):

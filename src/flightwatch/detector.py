@@ -98,7 +98,9 @@ class StreamDetector:
         self._indices = array.array("q")
         self._times = array.array("d")
         self._losses = array.array("d")
-        self._alarms: list[AlarmEvent] = []
+        # an alarm is its window's position in the arrays above and its mean
+        self._alarm_at = array.array("q")
+        self._alarm_means = array.array("d")
 
     def update(self, window: HeadingWindow) -> AlarmEvent | None:
         """Score one window of this detector's flight (the first window's, if
@@ -123,11 +125,15 @@ class StreamDetector:
         if len(self._losses) >= n:
             mean = sum(self._losses[-n:]) / n
             if not mean <= self.config.threshold:  # a NaN mean alarms too
-                alarm = AlarmEvent(window_index=window.index, timestamp=window.end,
-                                   loss=loss, rolling_mean_loss=mean)
-                self._alarms.append(alarm)
-                return alarm
+                self._alarm_at.append(len(self._losses) - 1)
+                self._alarm_means.append(mean)
+                return self._alarm(len(self._alarm_at) - 1)
         return None
+
+    def _alarm(self, k: int) -> AlarmEvent:
+        at = self._alarm_at[k]
+        return AlarmEvent(window_index=self._indices[at], timestamp=self._times[at],
+                          loss=self._losses[at], rolling_mean_loss=self._alarm_means[k])
 
     def report(self) -> DetectionReport:
         return DetectionReport(
@@ -135,7 +141,7 @@ class StreamDetector:
             window_indices=tuple(self._indices),
             window_times=tuple(self._times),
             losses=tuple(self._losses),
-            alarms=tuple(self._alarms))
+            alarms=tuple(map(self._alarm, range(len(self._alarm_at)))))
 
 
 def detect_stream(model: AutoencoderModel, windows: Iterable[HeadingWindow],

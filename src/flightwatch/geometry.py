@@ -77,27 +77,36 @@ class DistanceTrace:
     def min_value(self) -> float:
         return float(self.distances.min())
 
-    def value_at(self, t: float) -> float:
-        """Distance at time t (clamped linear interpolation)."""
-        return float(np.interp(t, self.timestamps, self.distances))
-
-    def range_min(self, t0: float, t1: float) -> float:
+    def range_min(self, t0, t1):
         """Exact minimum of the piecewise-linear trace over [t0, t1].
 
-        The range is clamped to the trace's span; for a linear interpolant the
-        minimum is attained at an endpoint or at an interior sample.
+        ``t0`` and ``t1`` are numbers, giving a float, or arrays of interval
+        ends, giving the minimum of each interval.  The range is clamped to
+        the trace's span, so a range outside it gets the nearest edge value;
+        for a linear interpolant the minimum is attained at an endpoint or at
+        an interior sample.  A NaN end is an error.
         """
-        if t1 < t0:
+        t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float),
+                                     np.asarray(t1, dtype=float))
+        if not np.all(t0 <= t1):
             raise ValueError("range_min needs t0 <= t1")
-        lo = max(t0, float(self.timestamps[0]))
-        hi = min(t1, float(self.timestamps[-1]))
-        if hi < lo:  # range lies outside the trace: nearest edge value
-            return self.value_at(lo)
-        best = min(self.value_at(lo), self.value_at(hi))
-        inner = self.distances[(self.timestamps > lo) & (self.timestamps < hi)]
-        if inner.size:
-            best = min(best, float(inner.min()))
-        return best
+        ts, ds = self.timestamps, self.distances
+        lo = np.maximum(t0, ts[0]).ravel()
+        hi = np.minimum(t1, ts[-1]).ravel()
+        at_lo = np.interp(lo, ts, ds)
+        at_hi = np.interp(hi, ts, ds)
+        # min(a, b) in Python's order: a NaN end stays only if it comes first
+        best = np.where(at_hi < at_lo, at_hi, at_lo)
+        # samples strictly inside (lo, hi) are ds[first:last]; an empty
+        # interval reduces from the appended +inf alone
+        first = np.searchsorted(ts, lo, side="right")
+        last = np.searchsorted(ts, hi, side="left")
+        first[first >= last] = ts.size
+        bounds = np.empty(2 * lo.size, dtype=np.intp)
+        bounds[0::2], bounds[1::2] = first, last
+        inner = np.minimum.reduceat(np.append(ds, np.inf), bounds)[0::2]
+        best = np.where(inner < best, inner, best)
+        return float(best[0]) if t0.ndim == 0 else best.reshape(t0.shape)
 
     def first_time_below(self, threshold: float) -> float | None:
         """Timestamp of the first sample strictly below threshold, if any."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +114,9 @@ def make_windows(timestamps, headings, config: PreprocessConfig, *,
     window that would extend past the series end is discarded.  Distance
     annotations come from the (independently clocked) distance trace when one
     is given and are +inf otherwise; the last window's covers the rest of the
-    trace, so that a dip after it is not lost.
+    trace, so that a dip after it is not lost.  Every window of the flight is
+    cut in one array pass, and each window's values are a read-only row of
+    one matrix.
     """
     ts = np.asarray(timestamps, dtype=float)
     vs = np.asarray(headings, dtype=float)
@@ -125,29 +127,44 @@ def make_windows(timestamps, headings, config: PreprocessConfig, *,
         return []
     t0 = float(ts[0])
     duration = float(ts[-1]) - t0
-    min_dist = distance_trace.min_value if distance_trace is not None else math.inf
+    if not math.isfinite(duration):
+        raise ValueError("timestamps must be finite")
+    stride, length = config.stride, config.window_length
+    # window i exists while i*stride + length <= duration and its samples
+    # fit.  Once failed, each test fails for every later i, so the windows
+    # are the passing prefix of a candidate range that ends in a failure.
+    # The first range ends past the last window unless the cap at one
+    # candidate per sample cuts it short; then it doubles.
+    n_cand = max(1, min(int((duration + _EPS - length) // stride) + 3, ts.size))
+    while True:
+        i = np.arange(n_cand)
+        starts = t0 + i * stride
+        firsts = np.ceil((starts - t0) * config.sample_rate - _EPS).astype(np.intp)
+        n = int(np.count_nonzero((i * stride + length <= duration + _EPS)
+                                 & (firsts + w <= ts.size)))
+        if n < n_cand:
+            break
+        n_cand *= 2
+    if n == 0:
+        return []
+    starts, firsts = starts[:n], firsts[:n]
+    ends = starts + length
+    values = vs[firsts[:, None] + np.arange(w)]
+    values -= values.mean(axis=1, keepdims=True)
+    values.setflags(write=False)
+    if distance_trace is not None:
+        min_dist = distance_trace.min_value
+        win_dists = distance_trace.range_min(starts, np.append(ends[:-1], math.inf)).tolist()
+    else:
+        min_dist = math.inf
+        win_dists = [math.inf] * n
     safety = labels.safety if labels is not None else None
     certainty = labels.certainty if labels is not None else None
-    windows: list[HeadingWindow] = []
-    i = 0
-    while i * config.stride + config.window_length <= duration + _EPS:
-        start = t0 + i * config.stride
-        first = int(math.ceil((start - t0) * config.sample_rate - _EPS))
-        if first + w > ts.size:
-            break
-        chunk = vs[first:first + w]
-        end = start + config.window_length
-        win_dist = (distance_trace.range_min(start, end)
-                    if distance_trace is not None else math.inf)
-        windows.append(HeadingWindow(
-            flight_id=flight_id, index=i, start=start, end=end,
-            values=chunk - chunk.mean(), win_dist=win_dist, min_dist=min_dist,
-            safety=safety, certainty=certainty))
-        i += 1
-    if windows and distance_trace is not None:
-        last = windows[-1]
-        windows[-1] = replace(last, win_dist=distance_trace.range_min(last.start, math.inf))
-    return windows
+    return [HeadingWindow(flight_id=flight_id, index=k, start=start, end=end,
+                          values=row, win_dist=win_dist, min_dist=min_dist,
+                          safety=safety, certainty=certainty)
+            for k, (start, end, row, win_dist)
+            in enumerate(zip(starts.tolist(), ends.tolist(), values, win_dists))]
 
 
 def filter_nominal_from_windows(windows: Sequence[HeadingWindow],

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flightwatch
-from flightwatch import autoenc
+from flightwatch import autoenc, cli, geometry
 from flightwatch.cli import main
 from flightwatch.detector import read_report
 from flightwatch.preprocess import read_windows_csv
@@ -307,6 +308,24 @@ class TestDetect:
         assert len(reports) == 7
         assert sorted(calls) == sorted(len(r.losses) for r in reports)
 
+    def test_logs_cut_each_flight_with_one_range_min_call(self, synth_dirs, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        range_min = geometry.DistanceTrace.range_min
+
+        def counted(trace, t0, t1):
+            calls.append(np.size(t0))
+            return range_min(trace, t0, t1)
+
+        monkeypatch.setattr(geometry.DistanceTrace, "range_min", counted)
+        held = synth_dirs["held"]
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--logs", held / "logs",
+                   "--obstacles", held / "obstacles.json", "--out", out) == 0
+        reports = [read_report(p) for p in sorted((out / "reports").glob("*.json"))]
+        assert len(reports) == 7
+        assert sorted(calls) == sorted(len(r.losses) for r in reports)
+
     def _stream(self, synth_dirs, monkeypatch, capsys, lines, *extra):
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
         rc = run("detect", "--model", synth_dirs["calibrated"], "--stream", *extra)
@@ -577,6 +596,30 @@ class TestConfigFile:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["duration"] == 75.0
         assert manifest["version"]
+
+
+class TestParser:
+    def test_built_once_and_a_config_reaches_only_its_own_call(self, synth_dirs,
+                                                               tmp_path, monkeypatch):
+        cli._shared_parser()
+        builds = []
+        build = cli._build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nominal_dist": 2.0}))
+        argv = ["calibrate", "--model", synth_dirs["model"],
+                "--windows", synth_dirs["pre"] / "windows.csv"]
+        assert run(*argv, "--config", cfg, "--out", tmp_path / "a") == 0
+        assert run(*argv, "--out", tmp_path / "b") == 0
+        assert len(builds) == 1  # the parser of the --config call only
+        for name, nominal_dist in (("a", 2.0), ("b", 3.0)):
+            manifest = json.loads((tmp_path / name / "run_manifest.json").read_text())
+            assert manifest["config"]["nominal_dist"] == nominal_dist
 
 
 class TestExitStatus:

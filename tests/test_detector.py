@@ -355,6 +355,24 @@ class TestModelIntegration:
         assert list(report.losses) == [
             mse_loss(w.values, model.forward(w.values)) for w in wins]
 
+    def test_stream_report_files_are_byte_identical(self, tmp_path):
+        model = AutoencoderModel(input_length=25, seed=4)
+        rng = np.random.default_rng(12)
+        wins = [HeadingWindow("f", i, 2.5 * i, 2.5 * i + 5,
+                              rng.normal(0, 5, size=25)) for i in range(30)]
+        config = DetectorConfig(threshold=float(np.median(
+            model.reconstruction_losses(wins))))
+        det = StreamDetector(model, config, "f")
+        returned = [a for a in map(det.update, wins) if a is not None]
+        # alarms are kept as numbers, not as event objects
+        assert not any(isinstance(v, (list, tuple)) for v in vars(det).values())
+        report = detect_stream(model, wins, config, "f")
+        assert report.alarms and returned == list(report.alarms) == list(det.report().alarms)
+        write_report(det.report(), tmp_path / "stream.json")
+        write_report(report, tmp_path / "batch.json")
+        assert (tmp_path / "stream.json").read_bytes() == (tmp_path / "batch.json").read_bytes()
+        assert alarms_csv([det.report()]) == alarms_csv([report])
+
     def test_config_from_model(self):
         model = AutoencoderModel(input_length=25, seed=0)
         model.threshold = 0.7

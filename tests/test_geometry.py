@@ -73,6 +73,23 @@ def dtw_antidiagonal(a, b):
     return float(acc[n, m])
 
 
+def range_min_scalar(trace, t0, t1):
+    """Oracle: the minimum of the trace over one interval [t0, t1], from two
+    boolean masks over the whole trace."""
+    if t1 < t0:
+        raise ValueError("range_min needs t0 <= t1")
+    ts, ds = trace.timestamps, trace.distances
+    lo = max(t0, float(ts[0]))
+    hi = min(t1, float(ts[-1]))
+    if hi < lo:  # range lies outside the trace: nearest edge value
+        return float(np.interp(lo, ts, ds))
+    best = min(float(np.interp(lo, ts, ds)), float(np.interp(hi, ts, ds)))
+    inner = ds[(ts > lo) & (ts < hi)]
+    if inner.size:
+        best = min(best, float(inner.min()))
+    return best
+
+
 class TestPointBoxDistance:
     def test_axis_aligned_offset(self):
         box = ObstacleBox(0, 0, 2, 2, 10, 0)
@@ -333,6 +350,51 @@ class TestDistanceTrace:
         assert trace.range_min(1.5, 3.0) == 2.5   # interpolated at 1.5
         assert trace.range_min(2.0, 2.0) == 4.0
         assert trace.range_min(-1.0, 0.5) == 3.0  # clamped + interpolated
+
+    def test_array_ends_give_one_minimum_per_interval(self):
+        trace = DistanceTrace(np.array([0.0, 1.0, 2.0, 3.0]),
+                              np.array([5.0, 1.0, 4.0, 6.0]))
+        got = trace.range_min(np.array([0.0, 1.5, 2.0, -1.0, 5.0, 0.5]),
+                              np.array([3.0, 3.0, 2.0, 0.5, 9.0, math.inf]))
+        assert got.tolist() == [1.0, 2.5, 4.0, 3.0, 6.0, 1.0]
+        assert type(trace.range_min(0.0, 3.0)) is float
+        assert trace.range_min(np.array([[0.0, 1.5]]), 3.0).shape == (1, 2)
+        assert trace.range_min(np.empty(0), np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("t0, t1", [
+        (1.0, 0.5), (np.array([0.0, 2.0]), np.array([1.0, 1.5])), (math.nan, 1.0)])
+    def test_reversed_or_nan_interval_is_error(self, t0, t1):
+        trace = DistanceTrace(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+        with pytest.raises(ValueError, match="t0 <= t1"):
+            trace.range_min(t0, t1)
+
+    @settings(max_examples=200, deadline=None)
+    # one sample; intervals between two samples, on one sample, before and
+    # after the trace
+    @example(gaps=[], dists=[2.0], t_first=0.0,
+             ends=[(-1.0, 1.0), (0, 0.0), (1.0, math.inf)])
+    @example(gaps=[1.0, 1.0, 1.0], dists=[5.0, 1.0, 4.0, 6.0], t_first=0.0,
+             ends=[(1.2, 0.6), (2, 0.0), (0, 3.0), (3.5, 0.5), (-2.0, 1.0), (1, math.inf)])
+    # a start is a time (float) or the index of a sample (int)
+    @given(gaps=st.lists(st.floats(0.01, 5.0), max_size=30),
+           dists=st.lists(st.one_of(st.floats(0.0, 50.0), st.sampled_from([math.inf, math.nan])),
+                          min_size=31, max_size=31),
+           t_first=st.floats(-100.0, 100.0),
+           ends=st.lists(st.tuples(st.one_of(st.floats(-20.0, 180.0), st.integers(0, 30)),
+                                   st.one_of(st.floats(0.0, 30.0), st.just(0.0),
+                                             st.just(math.inf))),
+                         max_size=20))
+    def test_array_equals_scalar_oracle_bit_for_bit(self, gaps, dists, t_first, ends):
+        ts = t_first + np.concatenate([[0.0], np.cumsum(gaps)])
+        trace = DistanceTrace(ts, np.array(dists[:ts.size]))
+        t0 = np.array([ts[a % ts.size] if isinstance(a, int) else t_first + a
+                       for a, _ in ends])
+        t1 = t0 + np.array([length for _, length in ends])
+        want = np.array([range_min_scalar(trace, a, b) for a, b in zip(t0, t1)])
+        assert trace.range_min(t0, t1).tobytes() == want.tobytes()
+        scalar = [trace.range_min(a, b) for a, b in zip(t0, t1)]
+        assert all(type(x) is float for x in scalar)
+        assert np.array(scalar).tobytes() == want.tobytes()
 
     def test_first_time_below(self):
         trace = DistanceTrace(np.array([0.0, 1.0, 2.0]), np.array([3.0, 0.5, 2.0]))

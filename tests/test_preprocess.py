@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,55 @@ from flightwatch.preprocess import (
     write_windows_csv,
 )
 from flightwatch.synthgen import SynthConfig, generate, wrap_heading
+from test_geometry import range_min_scalar
 
 CFG = PreprocessConfig()
+_EPS = 1e-9
+
+
+def make_windows_loop(timestamps, headings, config, *, distance_trace=None,
+                      labels=None, flight_id=""):
+    """Oracle for :func:`make_windows`: one window per loop step, each cut,
+    zero-centered and annotated on its own, with the last window's distance
+    annotation replaced by the minimum over the rest of the trace."""
+    ts = np.asarray(timestamps, dtype=float)
+    vs = np.asarray(headings, dtype=float)
+    w = config.window_samples
+    if ts.size < w:
+        return []
+    t0 = float(ts[0])
+    duration = float(ts[-1]) - t0
+    min_dist = distance_trace.min_value if distance_trace is not None else math.inf
+    safety = labels.safety if labels is not None else None
+    certainty = labels.certainty if labels is not None else None
+    windows = []
+    i = 0
+    while i * config.stride + config.window_length <= duration + _EPS:
+        start = t0 + i * config.stride
+        first = int(math.ceil((start - t0) * config.sample_rate - _EPS))
+        if first + w > ts.size:
+            break
+        chunk = vs[first:first + w]
+        end = start + config.window_length
+        win_dist = (range_min_scalar(distance_trace, start, end)
+                    if distance_trace is not None else math.inf)
+        windows.append(HeadingWindow(
+            flight_id=flight_id, index=i, start=start, end=end,
+            values=chunk - chunk.mean(), win_dist=win_dist, min_dist=min_dist,
+            safety=safety, certainty=certainty))
+        i += 1
+    if windows and distance_trace is not None:
+        last = windows[-1]
+        windows[-1] = replace(last, win_dist=range_min_scalar(distance_trace, last.start,
+                                                              math.inf))
+    return windows
+
+
+def _window_bits(win):
+    """Every field of a window, floats as their bytes."""
+    floats = np.array([win.start, win.end, win.win_dist, win.min_dist])
+    return (win.flight_id, win.index, floats.tobytes(), win.values.tobytes(),
+            win.safety, win.certainty)
 
 
 def _uniform_series(duration, rate=5.0):
@@ -145,6 +193,58 @@ class TestMakeWindows:
         lab = FlightLabels("f", "unsafe", "uncertain")
         wins = make_windows(t, np.zeros_like(t), CFG, labels=lab, flight_id="f")
         assert wins[0].safety == "unsafe" and wins[0].certainty == "uncertain"
+
+    def test_values_are_read_only_rows_of_one_matrix(self):
+        t = _uniform_series(20.0)
+        wins = make_windows(t, np.sin(t), CFG)
+        base = wins[0].values.base
+        assert base is not None and base.shape == (len(wins), 25)
+        assert all(w.values.base is base and not w.values.flags.writeable for w in wins)
+        assert not base.flags.writeable
+
+    def test_non_finite_timestamps_are_error(self):
+        t = _uniform_series(10.0)
+        t[-1] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            make_windows(t, np.zeros_like(t), CFG)
+
+    @settings(max_examples=150, deadline=None)
+    # a 300 s flight at the default geometry, its trace on another clock
+    @example(w=25, rate=5.0, overlap_frac=0.5, duration=300.0, t0=0.0,
+             trace=(0.1, 300.0, 1501), seed=0)
+    # a 2-sample trace that ends before the series starts
+    @example(w=8, rate=4.0, overlap_frac=0.3, duration=37.3, t0=12.5,
+             trace=(-30.0, 1.0, 2), seed=1)
+    # a trace that starts after the series ends
+    @example(w=4, rate=2.0, overlap_frac=0.75, duration=9.9, t0=-3.0,
+             trace=(40.0, 5.0, 7), seed=2)
+    @given(w=st.integers(4, 30), rate=st.sampled_from([1.0, 2.0, 2.5, 4.0, 5.0, 10.0, 20.0]),
+           overlap_frac=st.floats(0.05, 0.95), duration=st.floats(0.0, 120.0),
+           t0=st.floats(-500.0, 500.0),
+           trace=st.none() | st.tuples(st.floats(-60.0, 160.0), st.floats(0.0, 200.0),
+                                       st.integers(2, 400)),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_loop_oracle_bit_for_bit(self, w, rate, overlap_frac, duration, t0,
+                                            trace, seed):
+        # durations off the stride grid, non-zero starts, traces of any span
+        length = w / rate
+        config = PreprocessConfig(window_length=length, overlap=overlap_frac * length,
+                                  sample_rate=rate)
+        rng = np.random.default_rng(seed)
+        grid, headings = resample_uniform([t0, t0 + duration], [0.0, 0.0], rate)
+        headings = np.cumsum(rng.normal(0.0, 20.0, grid.size))
+        distance_trace = None
+        if trace is not None:
+            offset, span, n = trace
+            distance_trace = DistanceTrace(t0 + offset + np.linspace(0.0, span + 0.01, n),
+                                           rng.uniform(0.0, 10.0, n))
+        labels = FlightLabels("f", "safe", "uncertain") if seed % 2 else None
+        got = make_windows(grid, headings, config, distance_trace=distance_trace,
+                           labels=labels, flight_id="f")
+        want = make_windows_loop(grid, headings, config, distance_trace=distance_trace,
+                                 labels=labels, flight_id="f")
+        assert [_window_bits(x) for x in got] == [_window_bits(x) for x in want]
+        assert all(type(x.start) is float and type(x.win_dist) is float for x in got)
 
 
 def filter_nominal(windows, distance_trace, config):
