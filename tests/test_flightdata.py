@@ -367,6 +367,8 @@ _TEXT_FAULTS = {
 
 def _with_field(line: str, k: int, change) -> str:
     fields = line.split(",")
+    # an earlier "5 fields" fault may have shortened the line
+    k = min(k, len(fields) - 1)
     fields[k] = change(fields[k])
     return ",".join(fields)
 
