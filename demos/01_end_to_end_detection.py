@@ -19,6 +19,7 @@ from flightwatch import (
     generate,
     lead_time_analysis,
     preprocess_flight,
+    report_to_dict,
     train,
 )
 from flightwatch.synthgen import OBSTACLE
@@ -73,14 +74,15 @@ reports = []
 labels = {}
 for flight in held_out.flights:
     windows, trace = preprocess_flight(flight.log, pconf, obstacles=[OBSTACLE])
-    report = lead_time_analysis(detect_stream(model, windows, det_config),
+    # the report document, as `flightwatch detect` writes it to reports/<id>.json
+    report = lead_time_analysis(report_to_dict(detect_stream(model, windows, det_config)),
                                 trace, det_config)
     reports.append(report)
     labels[flight.log.flight_id] = flight.labels
-    if report.flight_uncertain:
-        print(f"  {report.flight_id}: first alarm at {report.first_alarm_time:.1f}s"
-              + (f", lead time {report.lead_time:.1f}s"
-                 if report.lead_time is not None else ""))
+    if report["flight_uncertain"]:
+        print(f"  {report['flight_id']}: first alarm at {report['first_alarm_time_s']:.1f}s"
+              + (f", lead time {report['lead_time_s']:.1f}s"
+                 if report["lead_time_s"] is not None else ""))
 
 # ---------------------------------------------------------------------------
 # 6. Evaluate against the ground-truth labels: confusion matrices for both

@@ -57,6 +57,7 @@ from .detector import (
     calibrate_threshold,
     detect_stream,
     lead_time_analysis,
+    report_to_dict,
 )
 from .evalstats import (
     AgreementStats,

@@ -411,12 +411,9 @@ def mse_loss(original, reconstruction) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam and schedule hyperparameters for autoencoder training."""
+    """Learning rate and schedule for autoencoder training."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 128
     max_epochs: int = 300
     patience: int = 20
@@ -424,10 +421,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.epsilon, self.min_delta) <= 0:
-            raise ValueError("learning_rate, epsilon, and min_delta must be > 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
+        if min(self.learning_rate, self.min_delta) <= 0:
+            raise ValueError("learning_rate and min_delta must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be >= 1")
 
@@ -440,8 +435,10 @@ class _Adam:
     layers float64 weights again.
     """
 
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+
     def __init__(self, model: AutoencoderModel, config: TrainConfig):
-        self.config = config
+        self.learning_rate = config.learning_rate
         self.layers = [layer for _, layer in model.weighted_layers()]
         self.theta = np.concatenate([p.ravel() for _, p in model.parameters()]).astype(np.float32)
         offset = 0
@@ -455,16 +452,15 @@ class _Adam:
         self.t = 0
 
     def step(self, model: AutoencoderModel) -> None:
-        cfg = self.config
         g = np.concatenate([d.ravel() for _, d in model.gradients()])
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
-        self.m *= cfg.beta1
-        self.m += (1.0 - cfg.beta1) * g
-        self.v *= cfg.beta2
-        self.v += (1.0 - cfg.beta2) * (g * g)
-        self.theta -= cfg.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.epsilon)
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        self.theta -= self.learning_rate * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.epsilon)
 
     def release(self) -> None:
         """Replace the views with float64 copies; float32 to float64 is exact."""
@@ -491,8 +487,7 @@ def _window_matrix(windows, expected_length: int | None = None) -> np.ndarray:
 
 
 def train(windows, config: TrainConfig = TrainConfig(), *,
-          filters: tuple[int, int] = (32, 16), kernel_size: int = 3,
-          dropout: float = 0.2, preprocess=None) -> AutoencoderModel:
+          preprocess=None) -> AutoencoderModel:
     """Train an autoencoder on nominal heading windows.
 
     ``windows`` is a sequence of HeadingWindow (or a raw (n, W) matrix); a
@@ -514,8 +509,7 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
         name = f" (flight {w.flight_id!r} index {w.index})" if hasattr(w, "flight_id") else ""
         raise ValueError(f"training window {bad[0]}{name} is not finite")
     rng = np.random.default_rng(config.seed)
-    model = AutoencoderModel(input_length=x.shape[1], filters=filters,
-                             kernel_size=kernel_size, dropout=dropout, rng=rng)
+    model = AutoencoderModel(input_length=x.shape[1], rng=rng)
     model.seed = config.seed
     if preprocess is not None:
         if preprocess.window_samples != x.shape[1]:

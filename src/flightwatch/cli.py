@@ -203,13 +203,11 @@ def cmd_detect(args) -> dict:
                                             overlap=model.overlap,
                                             sample_rate=model.sample_rate)
 
-        def report_of(path):
+        def flight(path):
             log = parse_flight_log(path, flight_id=path.stem)
-            windows, trace = preprocess.preprocess_flight(log, pconf, obstacles=obstacles)
-            report = detector.detect_stream(model, windows, det_config)
-            return detector.lead_time_analysis(report, trace, det_config)
+            return preprocess.preprocess_flight(log, pconf, obstacles=obstacles)
 
-        reports, failures = _per_flight(((p.stem, p) for p in paths), report_of)
+        flights = ((p.stem, p) for p in paths)
     elif args.windows:
         inputs = [args.windows]
         by_flight: dict[str, list] = {}
@@ -218,25 +216,36 @@ def cmd_detect(args) -> dict:
             _check_width(f"{args.windows}: windows", windows[0].values.size, model)
         for w in windows:
             by_flight.setdefault(w.flight_id, []).append(w)
-        reports, failures = _per_flight(
-            ((fid, sorted(by_flight[fid], key=lambda w: w.index)) for fid in sorted(by_flight)),
-            lambda flight_windows: detector.detect_stream(model, flight_windows, det_config))
+        flights = ((fid, sorted(by_flight[fid], key=lambda w: w.index))
+                   for fid in sorted(by_flight))
+
+        def flight(flight_windows):
+            return flight_windows, None  # no distance trace
     else:
         raise ValueError("one of --log, --logs, --windows, or --stream is required")
     out = Path(args.out)
     reports_dir = out / "reports"
     reports_dir.mkdir(exist_ok=True)
     outputs = []
-    for rep in reports:
-        path = reports_dir / f"{rep.flight_id}.json"
-        detector.write_report(rep, path)
-        outputs.append(path)
+
+    def written(item):
+        windows, trace = flight(item)
+        doc = detector.report_to_dict(detector.detect_stream(model, windows, det_config))
+        doc = detector.lead_time_analysis(doc, trace, det_config)
+        name = f"{doc['flight_id']}.json"
+        if Path(name).name != name:  # a path that may lead out of reports_dir
+            raise ValueError(f"flight id {doc['flight_id']!r} is not a plain file name")
+        detector.write_report(doc, reports_dir / name)
+        outputs.append(reports_dir / name)
+        return doc
+
+    docs, failures = _per_flight(flights, written)
     alarms_path = out / "alarms.csv"
-    alarms_path.write_text(detector.alarms_csv(reports), encoding="utf-8")
+    alarms_path.write_text(detector.alarms_csv(docs), encoding="utf-8")
     outputs.append(alarms_path)
-    n_alarms = sum(len(r.alarms) for r in reports)
-    n_uncertain = sum(r.flight_uncertain for r in reports)
-    print(f"detected on {len(reports)} flights: {n_uncertain} uncertain, "
+    n_alarms = sum(len(d["alarms"]) for d in docs)
+    n_uncertain = sum(d["flight_uncertain"] for d in docs)
+    print(f"detected on {len(docs)} flights: {n_uncertain} uncertain, "
           f"{n_alarms} alarms (threshold {det_config.threshold!r}, "
           f"n={det_config.n_consecutive})")
     return {"inputs": inputs, "outputs": outputs, "failures": failures,
@@ -282,7 +291,7 @@ def _detect_stream_stdin(model, det_config) -> dict[str, str]:
                 print(f"error: row {reader.line_num}: {exc}", file=sys.stderr)
                 continue
             if alarm is not None:
-                writer.writerow(detector.alarm_row(win.flight_id, alarm))
+                writer.writerow(detector.alarm_row(win.flight_id, detector.alarm_to_dict(alarm)))
                 sys.stdout.flush()
     except BrokenPipeError:
         # the consumer went away (e.g. piped into head); leave quietly and

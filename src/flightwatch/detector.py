@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -67,23 +67,17 @@ class AlarmEvent:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Detection outcome for one flight."""
+    """Detection outcome for one flight; :func:`report_to_dict` gives its document."""
 
     flight_id: str
     window_indices: tuple[int, ...] = ()
     window_times: tuple[float, ...] = ()
     losses: tuple[float, ...] = ()
     alarms: tuple[AlarmEvent, ...] = ()
-    lead_time: float | None = None
-    distance_at_first_alarm: float | None = None
 
     @property
     def flight_uncertain(self) -> bool:
         return len(self.alarms) > 0
-
-    @property
-    def first_alarm_time(self) -> float | None:
-        return self.alarms[0].timestamp if self.alarms else None
 
 
 class StreamDetector:
@@ -205,86 +199,94 @@ def calibrate_threshold(nominal_losses, quantile: float = 0.999,
                              n_losses=int(losses.size), bin_edges=edges, counts=counts)
 
 
-def lead_time_analysis(report: DetectionReport, distance_trace: DistanceTrace | None,
-                       config: DetectorConfig) -> DetectionReport:
-    """Fill in lead time and the obstacle distance at the first alarm.
+def lead_time_analysis(doc: dict, distance_trace: DistanceTrace | None,
+                       config: DetectorConfig) -> dict:
+    """The report document with its lead time and obstacle distance at the first alarm.
 
     Lead time is the time of the first sample below the critical distance
     minus the first alarm time; it is negative for late detections and absent
     when either event is missing.
     """
-    if distance_trace is None or not report.alarms:
-        return report
-    t_alarm = report.alarms[0].timestamp
-    dist_at_alarm = _nearest_sample(distance_trace, t_alarm)
+    if distance_trace is None or not doc["alarms"]:
+        return doc
+    t_alarm = doc["first_alarm_time_s"]
     t_critical = distance_trace.first_time_below(config.critical_distance)
-    lead = (t_critical - t_alarm) if t_critical is not None else None
-    return replace(report, lead_time=lead, distance_at_first_alarm=dist_at_alarm)
+    nearest = int(np.argmin(np.abs(distance_trace.timestamps - t_alarm)))
+    return {**doc, "lead_time_s": (t_critical - t_alarm) if t_critical is not None else None,
+            "distance_at_first_alarm_m": float(distance_trace.distances[nearest])}
 
 
-def _nearest_sample(trace: DistanceTrace, t: float) -> float:
-    idx = int(np.argmin(np.abs(trace.timestamps - t)))
-    return float(trace.distances[idx])
+_REPORT_KEYS = ("flight_id", "windows", "alarms", "flight_uncertain",
+                "first_alarm_time_s", "lead_time_s", "distance_at_first_alarm_m")
+_WINDOW_KEYS = ("index", "timestamp_s", "loss")
+_ALARM_KEYS = ("window_index", "timestamp_s", "loss", "rolling_mean_loss")
+
+
+def alarm_to_dict(alarm: AlarmEvent) -> dict:
+    """One alarm as the report document holds it."""
+    return dict(zip(_ALARM_KEYS, (alarm.window_index, alarm.timestamp, alarm.loss,
+                                  alarm.rolling_mean_loss)))
 
 
 def report_to_dict(report: DetectionReport) -> dict:
-    return {
-        "flight_id": report.flight_id,
-        "windows": [
-            {"index": i, "timestamp_s": t, "loss": l}
-            for i, t, l in zip(report.window_indices, report.window_times, report.losses)
-        ],
-        "alarms": [
-            {"window_index": a.window_index, "timestamp_s": a.timestamp,
-             "loss": a.loss, "rolling_mean_loss": a.rolling_mean_loss}
-            for a in report.alarms
-        ],
-        "flight_uncertain": report.flight_uncertain,
-        "first_alarm_time_s": report.first_alarm_time,
-        "lead_time_s": report.lead_time,
-        "distance_at_first_alarm_m": report.distance_at_first_alarm,
-    }
+    """The report document: what ``detect`` writes and every later step
+    reads.  Its lead-time keys are null until :func:`lead_time_analysis`."""
+    alarms = [alarm_to_dict(a) for a in report.alarms]
+    windows = zip(report.window_indices, report.window_times, report.losses)
+    return dict(zip(_REPORT_KEYS, (
+        report.flight_id, [dict(zip(_WINDOW_KEYS, w)) for w in windows], alarms,
+        report.flight_uncertain, alarms[0]["timestamp_s"] if alarms else None, None, None)))
 
 
-def report_from_dict(doc: dict) -> DetectionReport:
-    alarms = tuple(AlarmEvent(a["window_index"], a["timestamp_s"], a["loss"],
-                              a["rolling_mean_loss"]) for a in doc["alarms"])
-    wins = doc["windows"]
-    return DetectionReport(
-        flight_id=doc["flight_id"],
-        window_indices=tuple(w["index"] for w in wins),
-        window_times=tuple(w["timestamp_s"] for w in wins),
-        losses=tuple(w["loss"] for w in wins),
-        alarms=alarms,
-        lead_time=doc.get("lead_time_s"),
-        distance_at_first_alarm=doc.get("distance_at_first_alarm_m"))
+def write_report(doc: dict, path) -> None:
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
 
 
-def write_report(report: DetectionReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+def _report_fault(doc) -> str | None:
+    """Why ``doc`` does not have the shape :func:`report_to_dict` gives, or None."""
+    if not isinstance(doc, dict):
+        return f"a JSON {type(doc).__name__}, not an object"
+    missing = [k for k in _REPORT_KEYS if k not in doc]
+    if missing:
+        return f"no key {missing[0]!r}"
+    for key, item_keys in (("windows", _WINDOW_KEYS), ("alarms", _ALARM_KEYS)):
+        items = doc[key]
+        if not (isinstance(items, list) and all(
+                isinstance(i, dict) and all(k in i for k in item_keys) for i in items)):
+            return f"{key!r} is not a list of objects with keys {', '.join(item_keys)}"
+    if not isinstance(doc["flight_id"], str):
+        return "'flight_id' is not a string"
+    if doc["flight_uncertain"] is not bool(doc["alarms"]):
+        return "'flight_uncertain' is not whether 'alarms' holds any"
+    for key in _REPORT_KEYS[4:]:
+        if doc[key] is not None and type(doc[key]) not in (int, float):
+            return f"{key!r} is not a number or null"
+    return None
 
 
-def read_report(path) -> DetectionReport:
+def read_report(path) -> dict:
+    """The report document in ``path``; ValueError unless it is one."""
     try:
-        return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (KeyError, TypeError) as exc:  # a field missing or of the wrong shape
-        raise ValueError(
-            f"{path}: not a detection report ({type(exc).__name__}: {exc})") from None
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        fault = _report_fault(doc)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        fault = f"{type(exc).__name__}: {exc}"
+    if fault:
+        raise ValueError(f"{path}: not a detection report ({fault})")
+    return doc
 
 
-def alarms_csv(reports: Iterable[DetectionReport]) -> str:
-    """Flat alarm table for plotting: one row per alarm, flights in id order."""
+def alarms_csv(docs: Iterable[dict]) -> str:
+    """Flat alarm table of report documents: one row per alarm, flights in id order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ALARMS_CSV_HEADER)
-    for rep in sorted(reports, key=lambda r: r.flight_id):
-        writer.writerows(alarm_row(rep.flight_id, a) for a in rep.alarms)
+    for doc in sorted(docs, key=lambda d: d["flight_id"]):
+        writer.writerows(alarm_row(doc["flight_id"], a) for a in doc["alarms"])
     return buf.getvalue()
 
 
-def alarm_row(flight_id: str, alarm: AlarmEvent) -> list:
-    """One row of the alarm table, under :data:`ALARMS_CSV_HEADER`."""
-    return [flight_id, alarm.window_index, repr(alarm.timestamp),
-            repr(alarm.loss), repr(alarm.rolling_mean_loss)]
+def alarm_row(flight_id: str, alarm: dict) -> list:
+    """One row of the alarm table, under :data:`ALARMS_CSV_HEADER`, from a report alarm."""
+    return [flight_id, alarm["window_index"], *(repr(alarm[k]) for k in _ALARM_KEYS[1:])]

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .detector import DetectionReport
 from .flightdata import FlightLabels
 
 
@@ -205,11 +204,10 @@ def _axis(predicted: Mapping[str, bool], truth: Mapping[str, bool]) -> dict:
     return {"confusion": asdict(cm), "metrics": metrics(cm)}
 
 
-def dataset_report(reports: Iterable[DetectionReport],
-                   labels: Mapping[str, FlightLabels],
+def dataset_report(reports: Iterable[dict], labels: Mapping[str, FlightLabels],
                    gamma: float = 0.95) -> dict:
-    """The evaluation document of detection reports against ground-truth
-    labels, exactly as ``evaluation.json`` holds it.
+    """The evaluation document of detection report documents against
+    ground-truth labels, exactly as ``evaluation.json`` holds it.
 
     It holds both confusion matrices (certainty and safety ground truth),
     the label-agreement statistics, lead-time summaries, and one row per
@@ -218,19 +216,19 @@ def dataset_report(reports: Iterable[DetectionReport],
     reports = list(reports)
     if not reports or not labels:
         raise ValueError("evaluation needs at least one flight with a label")
-    by_id = {r.flight_id: r for r in reports}
+    by_id = {r["flight_id"]: r for r in reports}
     if len(by_id) != len(reports):
-        ids = [r.flight_id for r in reports]
+        ids = [r["flight_id"] for r in reports]
         raise ValueError(f"duplicate flight ids: {sorted({f for f in ids if ids.count(f) > 1})}")
     # any alarm flags a flight: the one bit predicts both certainty and safety
-    predicted = {fid: rep.flight_uncertain for fid, rep in by_id.items()}
+    predicted = {fid: rep["flight_uncertain"] for fid, rep in by_id.items()}
     uncertain, unsafe = _label_bits(labels)
     ground_truth = dict(zip(_AXES, (_axis(predicted, uncertain), _axis(predicted, unsafe))))
     agreement = agreement_stats_from_counts(confusion(uncertain, unsafe), gamma)
     cm = agreement.counts
-    lead_times = [r.lead_time for r in reports if r.lead_time is not None]
-    distances = [r.distance_at_first_alarm for r in reports
-                 if r.distance_at_first_alarm is not None]
+    lead_times = [r["lead_time_s"] for r in reports if r["lead_time_s"] is not None]
+    distances = [r["distance_at_first_alarm_m"] for r in reports
+                 if r["distance_at_first_alarm_m"] is not None]
     return {
         "n_flights": len(reports),
         "ground_truth": ground_truth,
@@ -246,10 +244,9 @@ def dataset_report(reports: Iterable[DetectionReport],
         "distance_at_first_alarm": {
             "mean_m": float(np.mean(distances)) if distances else None},
         "per_flight": [
-            dict(zip(_PER_FLIGHT, (rep.flight_id, lab.safety, lab.certainty,
-                                   rep.flight_uncertain, len(rep.alarms), rep.first_alarm_time,
-                                   rep.lead_time, rep.distance_at_first_alarm)))
-            for lab, rep in ((labels[fid], by_id[fid]) for fid in sorted(labels))],
+            dict(zip(_PER_FLIGHT, (fid, lab.safety, lab.certainty, rep["flight_uncertain"],
+                                   len(rep["alarms"]), *(rep[k] for k in _PER_FLIGHT[5:]))))
+            for fid, lab, rep in ((fid, labels[fid], by_id[fid]) for fid in sorted(labels))],
     }
 
 

@@ -30,31 +30,26 @@ CLASS_NAMES = ("certain_safe", "uncertain_safe", "uncertain_unsafe", "certain_un
 OBSTACLE = ObstacleBox(cx=0.0, cy=0.0, length=60.0, width=2.0, height=10.0, rotation=0.0)
 _CRUISE_ALTITUDE = 5.0
 
+# (low, high) sampling ranges of a heading profile: mission turns stay small
+# relative to the injected oscillations, so the anomaly stays dominant
+_TURN_COUNT, _TURN_STEP, _TURN_SLEW = (2, 5), (10.0, 30.0), (15.0, 30.0)  # count, deg, deg/s
+_OSC_AMPLITUDE, _OSC_PERIOD, _OSC_DURATION = (20.0, 60.0), (1.0, 4.0), (10.0, 30.0)  # deg, s, s
+
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generation parameters; tuple fields are (low, high) sampling ranges."""
+    """Generation parameters."""
 
     seed: int = 0
     flight_duration: float = 300.0
     sample_rate: float = 5.0
     noise_std: float = 1.0
-    turn_count: tuple[int, int] = (2, 5)
-    # mission turns stay small relative to the injected oscillations so the
-    # anomaly remains the dominant out-of-distribution feature
-    turn_step: tuple[float, float] = (10.0, 30.0)
-    turn_slew: tuple[float, float] = (15.0, 30.0)
-    osc_amplitude: tuple[float, float] = (20.0, 60.0)
-    osc_period: tuple[float, float] = (1.0, 4.0)
-    osc_duration: tuple[float, float] = (10.0, 30.0)
 
     def __post_init__(self):
         if self.flight_duration <= 0 or self.sample_rate <= 0:
             raise ValueError("flight_duration and sample_rate must be > 0")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        if self.turn_slew[1] > 30.0:
-            raise ValueError("turn slew is bounded by 30 deg/s")
 
 
 @dataclass(frozen=True)
@@ -134,9 +129,9 @@ def _place_turns(rng: np.random.Generator, durations: list[float], lo: float,
 def _draw_profile(rng: np.random.Generator, cfg: SynthConfig,
                   uncertain: bool, unsafe: bool) -> HeadingProfile:
     duration = cfg.flight_duration
-    n_turns = int(rng.integers(cfg.turn_count[0], cfg.turn_count[1] + 1))
-    steps = rng.uniform(*cfg.turn_step, size=n_turns) * rng.choice((-1.0, 1.0), size=n_turns)
-    slews = rng.uniform(*cfg.turn_slew, size=n_turns)
+    n_turns = int(rng.integers(_TURN_COUNT[0], _TURN_COUNT[1] + 1))
+    steps = rng.uniform(*_TURN_STEP, size=n_turns) * rng.choice((-1.0, 1.0), size=n_turns)
+    slews = rng.uniform(*_TURN_SLEW, size=n_turns)
     times = _place_turns(rng, [abs(s) / w for s, w in zip(steps, slews)],
                          0.1 * duration, 0.85 * duration)
     turns = tuple((float(t), float(s), float(w))
@@ -151,13 +146,13 @@ def _draw_profile(rng: np.random.Generator, cfg: SynthConfig,
         if onset_hi <= onset_lo:
             raise ValueError("flight_duration too short for an oscillation segment")
         onset = float(rng.uniform(onset_lo, onset_hi))
-        max_dur = min(cfg.osc_duration[1], duration - onset - 5.0)
-        if max_dur < cfg.osc_duration[0]:
+        max_dur = min(_OSC_DURATION[1], duration - onset - 5.0)
+        if max_dur < _OSC_DURATION[0]:
             raise ValueError("flight_duration too short for an oscillation segment")
         oscillation = (onset,
-                       float(rng.uniform(*cfg.osc_amplitude)),
-                       float(rng.uniform(*cfg.osc_period)),
-                       float(rng.uniform(cfg.osc_duration[0], max_dur)))
+                       float(rng.uniform(*_OSC_AMPLITUDE)),
+                       float(rng.uniform(*_OSC_PERIOD)),
+                       float(rng.uniform(_OSC_DURATION[0], max_dur)))
     return HeadingProfile(base_heading=float(rng.uniform(-180.0, 180.0)),
                           turns=turns, oscillation=oscillation)
 

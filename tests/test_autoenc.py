@@ -16,6 +16,7 @@ from flightwatch.autoenc import (
     ConvTranspose1d,
     Dropout,
     TrainConfig,
+    _Adam,
     load_model,
     mse_loss,
     save_model,
@@ -478,11 +479,11 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
+            TrainConfig(min_delta=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         cfg = TrainConfig()
-        assert (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon) \
+        assert (cfg.learning_rate, _Adam.beta1, _Adam.beta2, _Adam.epsilon) \
             == (1e-3, 0.9, 0.999, 1e-8)
         assert (cfg.batch_size, cfg.max_epochs, cfg.patience) == (128, 300, 20)
 

@@ -210,7 +210,7 @@ class TestDetect:
         assert run("detect", "--model", synth_dirs["calibrated"], "--log", log,
                    "--obstacles", held / "obstacles.json", "--out", out) == 0
         report = read_report(out / "reports" / f"{log.stem}.json")
-        assert report.alarms == ()
+        assert report["alarms"] == []
         alarms = (out / "alarms.csv").read_text().splitlines()
         assert len(alarms) == 1  # header only
 
@@ -222,13 +222,13 @@ class TestDetect:
         assert run("detect", "--model", synth_dirs["calibrated"], "--log", log,
                    "--obstacles", held / "obstacles.json", "--out", out) == 0
         report = read_report(out / "reports" / f"{log.stem}.json")
-        assert report.flight_uncertain
+        assert report["flight_uncertain"]
         info = truth[log.stem]
         onset, end = info["oscillation_start_s"], info["oscillation_end_s"]
         stride = 2.5
         # alarm timestamps are window ends: one window length past the segment
         # is still "inside" it
-        assert onset - stride <= report.first_alarm_time <= end + 5.0 + stride
+        assert onset - stride <= report["first_alarm_time_s"] <= end + 5.0 + stride
 
     def test_unsafe_flight_lead_time(self, synth_dirs, tmp_path):
         held = synth_dirs["held"]
@@ -238,11 +238,11 @@ class TestDetect:
         assert run("detect", "--model", synth_dirs["calibrated"], "--log", log,
                    "--obstacles", held / "obstacles.json", "--out", out) == 0
         report = read_report(out / "reports" / f"{log.stem}.json")
-        assert report.flight_uncertain
-        assert report.lead_time is not None and report.lead_time > 0
+        assert report["flight_uncertain"]
+        assert report["lead_time_s"] is not None and report["lead_time_s"] > 0
         t_unsafe = truth[log.stem]["t_unsafe_s"]
-        assert report.lead_time == pytest.approx(
-            t_unsafe - report.first_alarm_time, abs=2.5)
+        assert report["lead_time_s"] == pytest.approx(
+            t_unsafe - report["first_alarm_time_s"], abs=2.5)
 
     def test_windows_input_batch(self, synth_dirs, tmp_path):
         held = synth_dirs["held"]
@@ -306,7 +306,7 @@ class TestDetect:
                    "--obstacles", held / "obstacles.json", "--out", out) == 0
         reports = [read_report(p) for p in sorted((out / "reports").glob("*.json"))]
         assert len(reports) == 7
-        assert sorted(calls) == sorted(len(r.losses) for r in reports)
+        assert sorted(calls) == sorted(len(r["windows"]) for r in reports)
 
     def test_logs_cut_each_flight_with_one_range_min_call(self, synth_dirs, tmp_path,
                                                            monkeypatch):
@@ -324,7 +324,7 @@ class TestDetect:
                    "--obstacles", held / "obstacles.json", "--out", out) == 0
         reports = [read_report(p) for p in sorted((out / "reports").glob("*.json"))]
         assert len(reports) == 7
-        assert sorted(calls) == sorted(len(r.losses) for r in reports)
+        assert sorted(calls) == sorted(len(r["windows"]) for r in reports)
 
     def _stream(self, synth_dirs, monkeypatch, capsys, lines, *extra):
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
@@ -451,6 +451,31 @@ class TestDetect:
         assert reason.startswith("line 2:")
         assert f"error: flight {bad.stem}: {reason}\n" in capsys.readouterr().err
         assert len(list((out / "reports").glob("*.json"))) == 6
+
+    @pytest.mark.parametrize("flight_id", ["../x", "sub/dir", "nul\0id"])
+    def test_flight_id_that_is_not_a_file_name_fails_alone(self, synth_dirs, tmp_path,
+                                                            capsys, flight_id):
+        rows = (synth_dirs["pre"] / "windows.csv").read_text().splitlines(keepends=True)
+        renamed = rows[1].split(",", 1)[0]
+        windows = tmp_path / "in" / "windows.csv"
+        windows.parent.mkdir()
+        windows.write_text("".join(rows[:1] + [
+            (flight_id + row[len(renamed):]) if row.startswith(renamed + ",") else row
+            for row in rows[1:]]))
+        out = tmp_path / "a" / "b" / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--windows", windows,
+                   "--out", out) == 1
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert list(manifest["failures"]) == [flight_id]
+        assert f"error: flight {flight_id}: " in capsys.readouterr().err
+        others = sorted({row.split(",", 1)[0] for row in rows[1:]} - {renamed})
+        assert others and sorted(p.stem for p in (out / "reports").iterdir()) == others
+        assert "\n" + flight_id not in (out / "alarms.csv").read_text()
+        # nothing is written outside the reports of the other flights
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()) \
+            == sorted([Path("in/windows.csv"), Path("a/b/det/alarms.csv"),
+                       Path("a/b/det/run_manifest.json")]
+                      + [Path("a/b/det/reports") / f"{fid}.json" for fid in others])
 
 
 @pytest.fixture(scope="module")
@@ -683,21 +708,29 @@ class TestExitStatus:
         assert run("synth", "--counts", "1,2", "--out", out) == 2
         assert out.is_dir()
 
-    @pytest.mark.parametrize("command, document, message", [
-        ("evaluate", {"flight_id": "a"},
-         "error: {path}: not a detection report (KeyError: 'alarms')\n"),
-        ("evaluate", [1, 2], "error: {path}: not a detection report (TypeError: "),
-        ("detect", {"format": "flightwatch-model", "version": 1},
+    @pytest.mark.parametrize("command, text, message", [
+        ("evaluate", json.dumps({"flight_id": "a"}),
+         "error: {path}: not a detection report (no key 'windows')\n"),
+        ("evaluate", json.dumps([1, 2]),
+         "error: {path}: not a detection report (a JSON list, not an object)\n"),
+        ("evaluate", "not json", "error: {path}: not a detection report "
+                                 "(JSONDecodeError: Expecting value: line 1 column 1 (char 0))\n"),
+        ("evaluate", json.dumps({
+            "flight_id": "a", "windows": [], "alarms": [], "flight_uncertain": False,
+            "first_alarm_time_s": None, "lead_time_s": "soon", "distance_at_first_alarm_m": None}),
+         "error: {path}: not a detection report ('lead_time_s' is not a number or null)\n"),
+        ("detect", json.dumps({"format": "flightwatch-model", "version": 1}),
          "error: corrupt model file: KeyError: 'meta'\n"),
-    ], ids=["report-missing-key", "report-not-an-object", "model-missing-meta"])
+    ], ids=["report-missing-key", "report-not-an-object", "report-not-json",
+            "report-lead-time-not-a-number", "model-missing-meta"])
     def test_malformed_report_or_model_exits_2(self, tmp_path, capsys, command,
-                                               document, message):
+                                               text, message):
         path = tmp_path / "reports" / "a.json"
         path.parent.mkdir()
-        path.write_text(json.dumps(document))
+        path.write_text(text)
         labels = tmp_path / "labels.csv"
         labels.write_text("flight_id,safety,certainty\na,safe,certain\n")
         argv = {"evaluate": ["--reports", path.parent, "--labels", labels],
                 "detect": ["--model", path, "--log", tmp_path / "a.csv"]}[command]
         assert run(command, *argv, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith(message.format(path=path))
+        assert capsys.readouterr().err == message.format(path=path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from flightwatch.detector import (
     detect_stream,
     lead_time_analysis,
     read_report,
-    report_from_dict,
     report_to_dict,
     write_report,
 )
@@ -111,7 +111,7 @@ class TestDetectStream:
         report = _detect([0.05] * 30)
         assert report.alarms == ()
         assert not report.flight_uncertain
-        assert report.first_alarm_time is None
+        assert report_to_dict(report)["first_alarm_time_s"] is None
 
     def test_single_spike_suppressed(self):
         # one maneuver-like spike is averaged away
@@ -202,34 +202,43 @@ class TestNonFiniteProperties:
         assert repr([a for a in alarms if a is not None]) == repr(list(report.alarms))
 
 
+def _doc(flight_id, alarms=(), **keys):
+    """The report document of a flight with these alarms, other keys overridden."""
+    return {**report_to_dict(DetectionReport(flight_id, alarms=tuple(alarms))), **keys}
+
+
 class TestLeadTime:
     def _report_with_alarm(self, t_alarm):
         alarm = AlarmEvent(window_index=10, timestamp=t_alarm, loss=1.0,
                            rolling_mean_loss=0.9)
-        return DetectionReport(flight_id="f", alarms=(alarm,))
+        return _doc("f", [alarm])
 
     def test_alarm_long_before_crossing(self):
         # alarm at 90 s, first sub-1m sample at 300 s -> 210 s of lead
         t = np.arange(0.0, 400.0, 0.2)
         d = np.where(t < 300.0, 5.0, 0.8)
         trace = DistanceTrace(t, d)
-        report = lead_time_analysis(self._report_with_alarm(90.0), trace,
-                                    DetectorConfig())
-        assert report.lead_time == pytest.approx(210.0)
-        assert report.distance_at_first_alarm == pytest.approx(5.0)
+        doc = self._report_with_alarm(90.0)
+        report = lead_time_analysis(doc, trace, DetectorConfig())
+        assert report["lead_time_s"] == pytest.approx(210.0)
+        assert report["distance_at_first_alarm_m"] == pytest.approx(5.0)
+        # the document given is left as it was
+        assert doc["lead_time_s"] is None and doc["distance_at_first_alarm_m"] is None
+        assert report == {**doc, "lead_time_s": report["lead_time_s"],
+                          "distance_at_first_alarm_m": report["distance_at_first_alarm_m"]}
 
     def test_no_alarm_leaves_fields_absent(self):
-        report = DetectionReport(flight_id="f")
+        report = _doc("f")
         trace = DistanceTrace(np.array([0.0, 1.0]), np.array([5.0, 0.5]))
         out = lead_time_analysis(report, trace, DetectorConfig())
-        assert out.lead_time is None and out.distance_at_first_alarm is None
+        assert out["lead_time_s"] is None and out["distance_at_first_alarm_m"] is None
 
     def test_no_crossing_leaves_lead_time_absent(self):
         trace = DistanceTrace(np.array([0.0, 100.0]), np.array([5.0, 5.0]))
         out = lead_time_analysis(self._report_with_alarm(10.0), trace,
                                  DetectorConfig())
-        assert out.lead_time is None
-        assert out.distance_at_first_alarm == pytest.approx(5.0)
+        assert out["lead_time_s"] is None
+        assert out["distance_at_first_alarm_m"] == pytest.approx(5.0)
 
     def test_late_alarm_negative_lead_time(self):
         t = np.arange(0.0, 100.0, 0.2)
@@ -237,13 +246,13 @@ class TestLeadTime:
         trace = DistanceTrace(t, d)
         out = lead_time_analysis(self._report_with_alarm(70.0), trace,
                                  DetectorConfig())
-        assert out.lead_time == pytest.approx(-20.0)
+        assert out["lead_time_s"] == pytest.approx(-20.0)
 
     def test_nearest_sample_distance(self):
         trace = DistanceTrace(np.array([0.0, 1.0, 2.0]), np.array([9.0, 4.0, 0.5]))
         out = lead_time_analysis(self._report_with_alarm(1.2), trace,
                                  DetectorConfig())
-        assert out.distance_at_first_alarm == 4.0
+        assert out["distance_at_first_alarm_m"] == 4.0
 
 
 class TestVerdicts:
@@ -256,7 +265,7 @@ class TestVerdicts:
     def test_any_alarm_rule(self):
         labels = self._labels(("safe", "uncertain"), ("safe", "certain"))
         alarm = AlarmEvent(0, 5.0, 1.0, 0.9)
-        reports = [DetectionReport("f0", alarms=(alarm,)), DetectionReport("f1")]
+        reports = [_doc("f0", [alarm]), _doc("f1")]
         doc = dataset_report(reports, labels)
         f0, f1 = doc["per_flight"]
         assert f0["predicted_uncertain"] and not f1["predicted_uncertain"]
@@ -269,21 +278,33 @@ class TestVerdicts:
     def test_missing_report_is_error(self):
         labels = self._labels(("safe", "certain"), ("unsafe", "uncertain"))
         with pytest.raises(ValueError, match="f1"):
-            dataset_report([DetectionReport("f0")], labels)
+            dataset_report([_doc("f0")], labels)
 
     def test_duplicate_report_is_error(self):
         # a second report for f0 must not hide behind the first in the counts
         labels = self._labels(("unsafe", "uncertain"))
         alarm = AlarmEvent(0, 5.0, 1.0, 0.9)
-        reports = [DetectionReport("f0", alarms=(alarm,), lead_time=10.0),
-                   DetectionReport("f0")]
+        reports = [_doc("f0", [alarm], lead_time_s=10.0), _doc("f0")]
         with pytest.raises(ValueError, match=r"duplicate flight ids: \['f0'\]"):
             dataset_report(reports, labels)
 
     def test_missing_label_is_error(self):
         labels = self._labels(("safe", "certain"))
         with pytest.raises(ValueError, match="extra"):
-            dataset_report([DetectionReport("f0"), DetectionReport("extra")], labels)
+            dataset_report([_doc("f0"), _doc("extra")], labels)
+
+
+def _keys_sorted(obj):
+    """``obj`` with the keys of every dict in it sorted, as a JSON file holds them."""
+    if isinstance(obj, dict):
+        return {k: _keys_sorted(obj[k]) for k in sorted(obj)}
+    if isinstance(obj, list):
+        return list(map(_keys_sorted, obj))
+    return obj
+
+
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_ALARM = st.builds(AlarmEvent, st.integers(-2**63, 2**63 - 1), _FLOAT, _FLOAT, _FLOAT)
 
 
 class TestReportIo:
@@ -291,26 +312,93 @@ class TestReportIo:
         alarm = AlarmEvent(3, 12.5, 0.55, 0.4)
         report = DetectionReport(
             flight_id="f9", window_indices=(0, 1, 2, 3), window_times=(5.0, 7.5, 10.0, 12.5),
-            losses=(0.1, 0.2, 0.3, 0.55), alarms=(alarm,),
-            lead_time=33.0, distance_at_first_alarm=3.4)
+            losses=(0.1, 0.2, 0.3, 0.55), alarms=(alarm,))
+        doc = {**report_to_dict(report), "lead_time_s": 33.0, "distance_at_first_alarm_m": 3.4}
         path = tmp_path / "f9.json"
-        write_report(report, path)
+        write_report(doc, path)
         again = read_report(path)
-        assert again == report
+        assert again == doc
+        assert again["windows"][3] == {"index": 3, "timestamp_s": 12.5, "loss": 0.55}
+        assert again["alarms"] == [{"window_index": 3, "timestamp_s": 12.5, "loss": 0.55,
+                                    "rolling_mean_loss": 0.4}]
+        assert (again["flight_uncertain"], again["first_alarm_time_s"]) == (True, 12.5)
 
-    def test_dict_round_trip_absent_fields(self):
-        report = DetectionReport(flight_id="f0")
-        assert report_from_dict(report_to_dict(report)) == report
+    def test_dict_round_trip_absent_fields(self, tmp_path):
+        doc = report_to_dict(DetectionReport(flight_id="f0"))
+        assert doc == {"flight_id": "f0", "windows": [], "alarms": [],
+                       "flight_uncertain": False, "first_alarm_time_s": None,
+                       "lead_time_s": None, "distance_at_first_alarm_m": None}
+        write_report(doc, tmp_path / "f0.json")
+        assert read_report(tmp_path / "f0.json") == doc
+
+    @settings(max_examples=60, deadline=None)
+    @given(flight_id=st.text(), losses=st.lists(_FLOAT, max_size=6),
+           alarms=st.lists(_ALARM, max_size=3),
+           lead=st.one_of(st.none(), _FLOAT), distance=st.one_of(st.none(), _FLOAT))
+    def test_write_then_read_gives_the_document(self, tmp_path_factory, flight_id,
+                                                losses, alarms, lead, distance):
+        report = DetectionReport(flight_id, tuple(range(len(losses))),
+                                 tuple(2.5 * i + 5.0 for i in range(len(losses))),
+                                 tuple(losses), tuple(alarms))
+        doc = {**report_to_dict(report), "lead_time_s": lead,
+               "distance_at_first_alarm_m": distance}
+        path = tmp_path_factory.mktemp("io") / "r.json"
+        write_report(doc, path)
+        # repr compares NaN losses too
+        assert repr(read_report(path)) == repr(_keys_sorted(doc))
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda d: [d], "a JSON list, not an object"),
+        (lambda d: "report", "a JSON str, not an object"),
+        (lambda d: {k: v for k, v in d.items() if k != "lead_time_s"}, "no key 'lead_time_s'"),
+        (lambda d: {**d, "windows": {}},
+         "'windows' is not a list of objects with keys index, timestamp_s, loss"),
+        (lambda d: {**d, "windows": [[0, 5.0, 0.1]]},
+         "'windows' is not a list of objects with keys index, timestamp_s, loss"),
+        (lambda d: {**d, "alarms": [{"window_index": 3}]},
+         "'alarms' is not a list of objects with keys window_index, timestamp_s, loss, "
+         "rolling_mean_loss"),
+        (lambda d: {**d, "flight_id": 9}, "'flight_id' is not a string"),
+        (lambda d: {**d, "flight_uncertain": "yes"},
+         "'flight_uncertain' is not whether 'alarms' holds any"),
+        (lambda d: {**d, "flight_uncertain": False},
+         "'flight_uncertain' is not whether 'alarms' holds any"),
+        (lambda d: {**d, "first_alarm_time_s": "12.5"},
+         "'first_alarm_time_s' is not a number or null"),
+        (lambda d: {**d, "lead_time_s": "soon"}, "'lead_time_s' is not a number or null"),
+        (lambda d: {**d, "distance_at_first_alarm_m": True},
+         "'distance_at_first_alarm_m' is not a number or null"),
+    ])
+    def test_read_rejects_what_is_not_a_report(self, tmp_path, edit, fault):
+        doc = _doc("f", [AlarmEvent(3, 12.5, 0.55, 0.4)])
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(ValueError) as info:
+            read_report(path)
+        assert str(info.value) == f"{path}: not a detection report ({fault})"
+
+    @pytest.mark.parametrize("data, fault", [
+        (b"not json", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        (b'{"flight_id": "\xff"}', "UnicodeDecodeError: 'utf-8' codec can't decode byte "
+                                    "0xff in position 15: invalid start byte"),
+    ])
+    def test_read_rejects_what_is_not_json(self, tmp_path, data, fault):
+        path = tmp_path / "f.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_report(path)
+        assert str(info.value) == f"{path}: not a detection report ({fault})"
 
     def test_alarms_csv_layout(self):
         alarm = AlarmEvent(3, 12.5, 0.55, 0.4)
-        rep_a = DetectionReport("b", alarms=(alarm,))
-        rep_b = DetectionReport("a", alarms=(alarm, AlarmEvent(4, 15.0, 0.6, 0.5)))
+        rep_a = _doc("b", [alarm])
+        rep_b = _doc("a", [alarm, AlarmEvent(4, 15.0, 0.6, 0.5)])
         text = alarms_csv([rep_a, rep_b])
         lines = text.splitlines()
         assert lines[0] == "flight_id,window_index,timestamp_s,loss,rolling_mean"
         assert len(lines) == 4
         assert lines[1].startswith("a,3,")  # sorted by flight id
+        assert lines[1:3] == ["a,3,12.5,0.55,0.4", "a,4,15.0,0.6,0.5"]
 
 
 class TestConfigValidation:
@@ -368,10 +456,10 @@ class TestModelIntegration:
         assert not any(isinstance(v, (list, tuple)) for v in vars(det).values())
         report = detect_stream(model, wins, config, "f")
         assert report.alarms and returned == list(report.alarms) == list(det.report().alarms)
-        write_report(det.report(), tmp_path / "stream.json")
-        write_report(report, tmp_path / "batch.json")
+        write_report(report_to_dict(det.report()), tmp_path / "stream.json")
+        write_report(report_to_dict(report), tmp_path / "batch.json")
         assert (tmp_path / "stream.json").read_bytes() == (tmp_path / "batch.json").read_bytes()
-        assert alarms_csv([det.report()]) == alarms_csv([report])
+        assert alarms_csv([report_to_dict(det.report())]) == alarms_csv([report_to_dict(report)])
 
     def test_config_from_model(self):
         model = AutoencoderModel(input_length=25, seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from flightwatch.detector import AlarmEvent, DetectionReport
+from flightwatch.detector import AlarmEvent, DetectionReport, report_to_dict
 from flightwatch.evalstats import (
     ConfusionMatrix,
     agreement_stats,
@@ -184,6 +184,11 @@ class TestAgreement:
             agreement_stats_from_counts(ConfusionMatrix(0, 0, 0, 0))
 
 
+def _doc(flight_id, alarms=(), **keys):
+    """The report document of a flight with these alarms, other keys overridden."""
+    return {**report_to_dict(DetectionReport(flight_id, alarms=tuple(alarms))), **keys}
+
+
 class TestDatasetReport:
     def _setup(self):
         labels = {
@@ -194,12 +199,10 @@ class TestDatasetReport:
         }
         alarm = AlarmEvent(4, 15.0, 0.8, 0.5)
         reports = [
-            DetectionReport("u1", alarms=(alarm,), lead_time=210.0,
-                            distance_at_first_alarm=3.4),
-            DetectionReport("u2", alarms=(alarm,), lead_time=40.0,
-                            distance_at_first_alarm=4.0),
-            DetectionReport("c1"),
-            DetectionReport("c2"),
+            _doc("u1", [alarm], lead_time_s=210.0, distance_at_first_alarm_m=3.4),
+            _doc("u2", [alarm], lead_time_s=40.0, distance_at_first_alarm_m=4.0),
+            _doc("c1"),
+            _doc("c2"),
         ]
         return reports, labels
 
@@ -220,7 +223,7 @@ class TestDatasetReport:
     def test_lead_time_mean_example(self):
         labels = {f"f{i}": FlightLabels(f"f{i}", "unsafe", "uncertain") for i in range(3)}
         alarm = AlarmEvent(0, 5.0, 1.0, 0.9)
-        reports = [DetectionReport(f"f{i}", alarms=(alarm,), lead_time=lt)
+        reports = [_doc(f"f{i}", [alarm], lead_time_s=lt)
                    for i, lt in enumerate((210.0, 40.0, 50.0))]
         doc = dataset_report(reports, labels)
         assert doc["lead_time"]["mean_s"] == pytest.approx(100.0)
@@ -272,8 +275,7 @@ class TestDatasetReport:
         labels = {"c1": FlightLabels("c1", "safe", "certain"),
                   "c2": FlightLabels("c2", "unsafe", "certain"),
                   "c3": FlightLabels("c3", "safe", "certain")}
-        reports = [DetectionReport("c1", alarms=(AlarmEvent(2, 7.5, 0.9, 0.6),)),
-                   DetectionReport("c2"), DetectionReport("c3")]
+        reports = [_doc("c1", [AlarmEvent(2, 7.5, 0.9, 0.6)]), _doc("c2"), _doc("c3")]
         return reports, labels
 
     @pytest.mark.parametrize("corpus", ["uncertain", "no-uncertain"])

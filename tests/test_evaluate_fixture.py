@@ -11,7 +11,7 @@ import json
 import pytest
 
 from flightwatch.cli import main
-from flightwatch.detector import AlarmEvent, DetectionReport, write_report
+from flightwatch.detector import AlarmEvent, DetectionReport, report_to_dict, write_report
 from flightwatch.flightdata import FlightLabels, write_labels
 
 # cell order: (predicted, uncertain, unsafe) -> count
@@ -67,7 +67,7 @@ def _materialize(cells, root):
                 "uncertain" if uncertain else "certain")
             report = DetectionReport(flight_id=fid,
                                      alarms=(alarm,) if predicted else ())
-            write_report(report, reports_dir / f"{fid}.json")
+            write_report(report_to_dict(report), reports_dir / f"{fid}.json")
     labels_path = root / "labels.csv"
     write_labels(labels, labels_path)
     return reports_dir, labels_path
