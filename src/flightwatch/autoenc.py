@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .preprocess import PreprocessConfig
+
 FORMAT_MAGIC = "flightwatch-model"
 FORMAT_VERSION = 1
 
@@ -548,89 +550,86 @@ def train(windows, config: TrainConfig = TrainConfig(), *,
     return model
 
 
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+# How each meta value is read and written: as the type its model attribute holds.
+_META = {
+    "input_length": int, "filters": lambda value: [int(f) for f in value], "kernel_size": int,
+    "dropout": float, "sample_rate": _optional(float), "window_length": _optional(float),
+    "overlap": _optional(float), "threshold": _optional(float), "n_consecutive": int,
+    "seed": _optional(int), "epochs_trained": int, "final_loss": _optional(float),
+    "loss_history": lambda value: [float(x) for x in value],
+}
+
+
+def _model_doc(model: AutoencoderModel) -> dict:
+    """The document :func:`save_model` writes, which a loaded file must equal."""
+    return {"format": FORMAT_MAGIC, "version": FORMAT_VERSION,
+            "meta": {key: read(getattr(model, key)) for key, read in _META.items()},
+            "layers": [{"name": name, "kind": layer.kind, "in_channels": layer.in_channels,
+                        "out_channels": layer.out_channels, "kernel_size": layer.kernel_size,
+                        "stride": layer.stride, "w": layer.w.ravel().tolist(),
+                        "b": layer.b.tolist()} for name, layer in model.weighted_layers()]}
+
+
 def save_model(model: AutoencoderModel, path) -> None:
     """Serialize a model to versioned JSON with full-precision weights."""
-    doc = {
-        "format": FORMAT_MAGIC,
-        "version": FORMAT_VERSION,
-        "meta": {
-            "input_length": model.input_length,
-            "filters": list(model.filters),
-            "kernel_size": model.kernel_size,
-            "dropout": model.dropout,
-            "sample_rate": model.sample_rate,
-            "window_length": model.window_length,
-            "overlap": model.overlap,
-            "threshold": model.threshold,
-            "n_consecutive": model.n_consecutive,
-            "seed": model.seed,
-            "epochs_trained": model.epochs_trained,
-            "final_loss": model.final_loss,
-            "loss_history": model.loss_history,
-        },
-        "layers": [
-            {
-                "name": name,
-                "kind": layer.kind,
-                "in_channels": layer.in_channels,
-                "out_channels": layer.out_channels,
-                "kernel_size": layer.kernel_size,
-                "stride": layer.stride,
-                "w": layer.w.ravel().tolist(),
-                "b": layer.b.tolist(),
-            }
-            for name, layer in model.weighted_layers()
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps(_model_doc(model), sort_keys=True, separators=(",", ":"))
+                          + "\n", encoding="utf-8")
+
+
+def _difference(new, old, where: str = "") -> str | None:
+    """The path (such as ``/meta/threshold``) of the first value of ``old`` that
+    is not ``new`` as JSON, where 1, 1.0 and true differ; None if there is none."""
+    if type(new) is list and new and type(new[0]) is dict:  # compared item by item
+        new, old = dict(enumerate(new)), dict(enumerate(old)) if type(old) is list else old
+    if type(new) is dict:
+        if type(old) is not dict or old.keys() != new.keys():
+            return where or "/"
+        return next(filter(None, (_difference(new[k], old[k], f"{where}/{k}")
+                                  for k in sorted(new))), None)
+    if type(new) is not list:  # as one-item lists, so that a NaN equals itself
+        new, old = [new], [old]
+    same = type(old) is list and new == old and list(map(type, new)) == list(map(type, old))
+    return None if same else where
 
 
 def load_model(path) -> AutoencoderModel:
-    """Load a model saved by :func:`save_model`; the round trip is bit-exact."""
+    """Load a model saved by :func:`save_model`; the round trip is bit-exact.
+
+    Any other file is ``ValueError("<path>: not a flightwatch model (<why>)")``, as
+    is one with a weight not finite, a threshold not null or in (0, inf),
+    ``n_consecutive`` < 1, or window geometry neither all null nor a
+    :class:`PreprocessConfig` of ``input_length`` samples."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt model file: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_MAGIC:
-        raise ValueError("not a flightwatch model file (bad magic header)")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}, "
-                         f"expected {FORMAT_VERSION}")
-    try:
-        meta = doc["meta"]
-        model = AutoencoderModel(
-            input_length=int(meta["input_length"]),
-            filters=tuple(meta["filters"]),
-            kernel_size=int(meta["kernel_size"]),
-            dropout=float(meta["dropout"]),
-            rng=None,
-        )
-        model.sample_rate = meta["sample_rate"]
-        model.window_length = meta["window_length"]
-        model.overlap = meta["overlap"]
-        model.threshold = meta["threshold"]
-        model.n_consecutive = int(meta["n_consecutive"])
-        model.seed = meta["seed"]
-        model.epochs_trained = int(meta["epochs_trained"])
-        model.final_loss = meta["final_loss"]
-        model.loss_history = list(meta.get("loss_history", []))
-        by_name = dict(model.weighted_layers())
-        seen = set()
-        for spec in doc["layers"]:
-            layer = by_name.get(spec["name"])
-            if layer is None:
-                raise ValueError(f"unknown layer {spec['name']!r} in model file")
-            w = np.array(spec["w"], dtype=float).reshape(layer.w.shape)
-            b = np.array(spec["b"], dtype=float)
-            if b.shape != layer.b.shape:
-                raise ValueError(f"layer {spec['name']!r}: bias shape mismatch")
-            layer.w = w
-            layer.b = b
-            seen.add(spec["name"])
-    except (KeyError, TypeError) as exc:  # a field missing or of the wrong shape
-        raise ValueError(f"corrupt model file: {type(exc).__name__}: {exc}") from None
-    missing = set(by_name) - seen
-    if missing:
-        raise ValueError(f"model file is missing layers: {sorted(missing)}")
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT_MAGIC:
+            raise ValueError("bad magic header")
+        if doc.get("version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported model version {doc.get('version')!r}, "
+                             f"expected {FORMAT_VERSION}")
+        values = {key: read(doc["meta"][key]) for key, read in _META.items()}
+        model = AutoencoderModel(values.pop("input_length"), values.pop("filters"),
+                                 values.pop("kernel_size"), values.pop("dropout"))
+        vars(model).update(values)
+        for (name, layer), spec in zip(model.weighted_layers(), doc["layers"]):
+            layer.w = np.array(spec["w"], dtype=float).reshape(layer.w.shape)
+            layer.b = np.array(spec["b"], dtype=float).reshape(layer.b.shape)
+            if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
+                raise ValueError(f"layer {name!r} has a weight that is not finite")
+        geom = (model.window_length, model.overlap, model.sample_rate)
+        if geom != (None,) * 3 and PreprocessConfig(*geom).window_samples != model.input_length:
+            raise ValueError(f"window geometry {geom} is not of {model.input_length} samples")
+        if not (model.threshold is None or 0 < model.threshold < math.inf):
+            raise ValueError(f"threshold {model.threshold!r} is not null or in (0, inf)")
+        if model.n_consecutive < 1:
+            raise ValueError(f"n_consecutive {model.n_consecutive} is less than 1")
+        where = _difference(_model_doc(model), doc)
+        if where is not None:
+            raise ValueError(f"{where} does not re-encode to itself")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        why = str(exc) if type(exc) is ValueError else f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: not a flightwatch model ({why})") from None
     return model

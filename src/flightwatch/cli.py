@@ -205,7 +205,7 @@ def cmd_detect(args) -> dict:
 
         def flight(path):
             log = parse_flight_log(path, flight_id=path.stem)
-            return preprocess.preprocess_flight(log, pconf, obstacles=obstacles)
+            return (path.stem, *preprocess.preprocess_flight(log, pconf, obstacles=obstacles))
 
         flights = ((p.stem, p) for p in paths)
     elif args.windows:
@@ -219,8 +219,8 @@ def cmd_detect(args) -> dict:
         flights = ((fid, sorted(by_flight[fid], key=lambda w: w.index))
                    for fid in sorted(by_flight))
 
-        def flight(flight_windows):
-            return flight_windows, None  # no distance trace
+        def flight(flight_windows):  # grouped by flight id; no distance trace
+            return flight_windows[0].flight_id, flight_windows, None
     else:
         raise ValueError("one of --log, --logs, --windows, or --stream is required")
     out = Path(args.out)
@@ -229,8 +229,8 @@ def cmd_detect(args) -> dict:
     outputs = []
 
     def written(item):
-        windows, trace = flight(item)
-        doc = detector.report_to_dict(detector.detect_stream(model, windows, det_config))
+        fid, windows, trace = flight(item)
+        doc = detector.report_to_dict(detector.detect_stream(model, windows, det_config, fid))
         doc = detector.lead_time_analysis(doc, trace, det_config)
         name = f"{doc['flight_id']}.json"
         if Path(name).name != name:  # a path that may lead out of reports_dir

@@ -254,8 +254,9 @@ def windows_csv_width(header: Sequence[str] | None) -> int:
 
 def parse_window_row(row: Sequence[str], width: int,
                      window_length: float | None = None) -> HeadingWindow:
-    """One windowed-dataset row of ``8 + width`` fields as a window whose
-    ``end - start`` matches ``window_length``, when given, within 1e-9."""
+    """One windowed-dataset row of ``8 + width`` fields as a window with a
+    finite ``start`` and ``end`` whose difference matches ``window_length``,
+    when given, within 1e-9.  Its values may be NaN: such a window alarms."""
     if len(row) != 8 + width:
         raise ValueError(f"expected {8 + width} fields, got {len(row)}")
     win = HeadingWindow(
@@ -263,6 +264,8 @@ def parse_window_row(row: Sequence[str], width: int,
         end=float(row[3]), values=np.array([float(v) for v in row[8:]]),
         win_dist=float(row[4]), min_dist=float(row[5]),
         safety=row[6] or None, certainty=row[7] or None)
+    if not (math.isfinite(win.start) and math.isfinite(win.end)):
+        raise ValueError(f"window interval [{win.start!r}, {win.end!r}] is not finite")
     if window_length is not None and abs(win.end - win.start - window_length) > _EPS:
         raise ValueError(f"window spans {win.end - win.start!r} s, expected {window_length!r} s")
     return win

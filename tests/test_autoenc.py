@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from flightwatch.autoenc import (
     save_model,
     train,
 )
-from flightwatch.preprocess import HeadingWindow
+from flightwatch.preprocess import HeadingWindow, PreprocessConfig
 
 # seeds frozen so no ReLU pre-activation sits within the finite-difference
 # step of a kink (checked once; everything is deterministic)
@@ -519,6 +520,17 @@ class TestTraining:
         assert loss_anomalous > loss_nominal
 
 
+@pytest.fixture(scope="module")
+def saved_doc(tmp_path_factory):
+    """A calibrated model with window geometry, saved: its path and bytes."""
+    x = np.random.default_rng(5).normal(0, 3, size=(100, 25))
+    model = train(x, TrainConfig(seed=4, max_epochs=3), preprocess=PreprocessConfig())
+    model.threshold = 0.3
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    return path, path.read_bytes()
+
+
 class TestSerialization:
     def _trained(self, tmp_path):
         x = np.random.default_rng(5).normal(0, 3, size=(100, 25))
@@ -549,22 +561,88 @@ class TestSerialization:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else", "version": 1}))
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError) as info:
             load_model(path)
+        assert str(info.value) == f"{path}: not a flightwatch model (bad magic header)"
 
     def test_version_mismatch(self, tmp_path):
         model, path = self._trained(tmp_path)
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError) as info:
             load_model(path)
+        assert str(info.value) == (f"{path}: not a flightwatch model "
+                                   f"(unsupported model version 99, expected 1)")
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{truncated")
-        with pytest.raises(ValueError, match="corrupt"):
+        with pytest.raises(ValueError) as info:
             load_model(path)
+        assert str(info.value) == (
+            f"{path}: not a flightwatch model (JSONDecodeError: Expecting property name "
+            f"enclosed in double quotes: line 1 column 2 (char 1))")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_mutation_reencodes_to_itself_or_is_rejected(self, saved_doc, data):
+        """One edit of a saved document: ``load_model`` either returns a usable
+        model that saves to the edited file's own bytes, or raises a ValueError
+        that names the file."""
+        path, original = saved_doc
+        doc = json.loads(original)
+        places = [doc, doc["meta"], *doc["layers"]]
+
+        def weights():
+            return doc["layers"][data.draw(st.integers(0, 4))][data.draw(
+                st.sampled_from(["w", "b"]))]
+
+        kind = data.draw(st.sampled_from(["drop", "type", "non-finite", "layer", "length"]))
+        if kind == "drop":
+            place = data.draw(st.sampled_from(places))
+            del place[data.draw(st.sampled_from(sorted(place)))]
+        elif kind == "type":
+            place = data.draw(st.sampled_from(places))
+            key = data.draw(st.sampled_from(sorted(place)))
+            # small values only: a meta number sizes the arrays the model allocates
+            place[key] = data.draw(st.one_of(
+                st.none(), st.booleans(), st.integers(-2, 40), st.floats(-50, 50),
+                st.text("0123456789.e-", max_size=3), st.lists(st.integers(0, 40), max_size=3),
+                st.just({})).filter(lambda v: type(v) is not type(place[key])))
+        elif kind == "non-finite":
+            value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            numbers = [k for k, v in doc["meta"].items() if type(v) in (int, float)]
+            if data.draw(st.booleans()):
+                doc["meta"][data.draw(st.sampled_from(numbers))] = value
+            else:
+                row = weights()
+                row[data.draw(st.integers(0, len(row) - 1))] = value
+        elif kind == "layer":
+            spec = data.draw(st.sampled_from(doc["layers"]))
+            key = data.draw(st.sampled_from(["name", "kind", "in_channels", "out_channels",
+                                             "kernel_size", "stride"]))
+            spec[key] = data.draw(st.text(max_size=6) if isinstance(spec[key], str)
+                                  else st.integers(0, 64))
+        else:
+            row = weights()
+            if data.draw(st.booleans()):
+                row.pop(data.draw(st.integers(0, len(row) - 1)))
+            else:
+                row.insert(data.draw(st.integers(0, len(row))), 0.5)
+        edited = path.parent / "edited.json"
+        edited.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        try:
+            model = load_model(edited)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{edited}: not a flightwatch model (")
+            return
+        assert all(np.isfinite(p).all() for _, p in model.parameters())
+        assert model.threshold is None or 0 < model.threshold < math.inf
+        assert model.n_consecutive >= 1
+        resaved = path.parent / "resaved.json"
+        save_model(model, resaved)
+        assert resaved.read_bytes() == edited.read_bytes()
 
     def test_wrong_window_length_input(self, tmp_path):
         _, path = self._trained(tmp_path)

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import io
+import math
 import os
 import shutil
 import subprocess
@@ -360,6 +361,26 @@ class TestDetect:
         # four scored windows fill the rolling mean; every later one alarms
         assert alarmed == [[fid_a, "4"], [fid_a, "5"], [fid_b, "4"], [fid_b, "5"]]
 
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_window_with_a_non_finite_interval_is_rejected(self, synth_dirs, tmp_path,
+                                                           monkeypatch, capsys, bound):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fid = lines[1].split(",", 1)[0]
+        rows = [line.split(",") for line in lines[1:] if line.startswith(fid + ",")][:6]
+        rows[1][2:4] = [bound, bound]
+        rows[5][8:] = ["nan"] * (len(rows[5]) - 8)  # NaN values are scored, and alarm
+        stream = [lines[0]] + [",".join(row) for row in rows]
+        windows = tmp_path / "windows.csv"
+        windows.write_text("\n".join(stream) + "\n")
+        assert run("detect", "--model", synth_dirs["calibrated"], "--windows", windows,
+                   "--out", tmp_path / "det") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line 3: window interval [{bound}, {bound}] is not finite"]
+        rc, out, err = self._stream(synth_dirs, monkeypatch, capsys, stream)
+        assert rc == 1
+        assert err == [f"error: row 3: window interval [{bound}, {bound}] is not finite"]
+        assert [line.split(",")[:2] for line in out[1:]] == [[fid, "5"]]
+
     @pytest.mark.parametrize("header, message", [
         ("flight,index,start_s", "bad windowed dataset header"),
         ("flight_id,index,start_s,end_s,win_dist_m,min_dist_m,safety,certainty,v0,v1",
@@ -435,6 +456,27 @@ class TestDetect:
         assert "window geometry" in capsys.readouterr().err
         assert run("detect", "--model", bare, "--windows",
                    synth_dirs["pre"] / "windows.csv", "--out", tmp_path / "det2") == 0
+
+    def test_log_too_short_for_a_window_is_reported_under_its_name(self, synth_dirs,
+                                                                   tmp_path):
+        held = synth_dirs["held"]
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        short, full = sorted(held.glob("logs/certain_safe-*.csv"))
+        shutil.copy(full, logs)
+        (logs / short.name).write_text("".join(short.read_text().splitlines(True)[:5]))
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--logs", logs,
+                   "--out", out) == 0
+        assert sorted(p.name for p in (out / "reports").iterdir()) == [
+            f"{short.stem}.json", f"{full.stem}.json"]
+        doc = read_report(out / "reports" / f"{short.stem}.json")
+        assert (doc["flight_id"], doc["windows"]) == (short.stem, [])
+        labels = tmp_path / "labels.csv"
+        labels.write_text("flight_id,safety,certainty\n"
+                          + "".join(f"{p.stem},safe,certain\n" for p in (short, full)))
+        assert run("evaluate", "--reports", out / "reports", "--labels", labels,
+                   "--out", tmp_path / "eval") == 0
 
     def test_manifest_names_failed_flight(self, synth_dirs, tmp_path, capsys):
         held = synth_dirs["held"]
@@ -720,7 +762,7 @@ class TestExitStatus:
             "first_alarm_time_s": None, "lead_time_s": "soon", "distance_at_first_alarm_m": None}),
          "error: {path}: not a detection report ('lead_time_s' is not a number or null)\n"),
         ("detect", json.dumps({"format": "flightwatch-model", "version": 1}),
-         "error: corrupt model file: KeyError: 'meta'\n"),
+         "error: {path}: not a flightwatch model (KeyError: 'meta')\n"),
     ], ids=["report-missing-key", "report-not-an-object", "report-not-json",
             "report-lead-time-not-a-number", "model-missing-meta"])
     def test_malformed_report_or_model_exits_2(self, tmp_path, capsys, command,
@@ -734,3 +776,34 @@ class TestExitStatus:
                 "detect": ["--model", path, "--log", tmp_path / "a.csv"]}[command]
         assert run(command, *argv, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err == message.format(path=path)
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda d: d["meta"].update(threshold="abc"),
+         "could not convert string to float: 'abc'"),
+        (lambda d: d["meta"].update(threshold="1.5"),
+         "/meta/threshold does not re-encode to itself"),
+        (lambda d: d["meta"].update(threshold=math.nan),
+         "threshold nan is not null or in (0, inf)"),
+        (lambda d: d["meta"].update(threshold=-1),
+         "threshold -1.0 is not null or in (0, inf)"),
+        (lambda d: d["meta"].update(n_consecutive=0), "n_consecutive 0 is less than 1"),
+        (lambda d: d["meta"].update(window_length="5"),
+         "/meta/window_length does not re-encode to itself"),
+        (lambda d: d["meta"].update(window_length=6.0, overlap=3.0),
+         "window geometry (6.0, 3.0, 5.0) is not of 25 samples"),
+        (lambda d: d["layers"][1].update(stride=3),
+         "/layers/1/stride does not re-encode to itself"),
+        (lambda d: d["layers"][0]["w"].__setitem__(0, math.nan),
+         "layer 'enc1' has a weight that is not finite"),
+    ], ids=["threshold-abc", "threshold-string", "threshold-nan", "threshold-negative",
+            "n-consecutive-0", "window-length-string", "geometry-of-30-samples",
+            "stride-3", "nan-weight"])
+    def test_model_that_is_not_its_own_document_exits_2(self, synth_dirs, tmp_path,
+                                                        capsys, edit, why):
+        doc = json.loads(synth_dirs["calibrated"].read_text())
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run("detect", "--model", path, "--logs", synth_dirs["held"] / "logs",
+                   "--out", tmp_path / "det") == 2
+        assert capsys.readouterr().err == f"error: {path}: not a flightwatch model ({why})\n"
