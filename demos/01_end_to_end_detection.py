@@ -60,7 +60,7 @@ print(f"trained {model.epochs_trained} epochs, "
 # ---------------------------------------------------------------------------
 losses = model.reconstruction_losses(nominal)
 calibration = calibrate_threshold(losses, quantile=0.999)
-model.threshold = calibration.threshold
+model.threshold = calibration["suggested_threshold"]
 print(f"nominal loss median {np.median(losses):.3f}, "
       f"calibrated threshold {model.threshold:.3f}")
 

@@ -13,9 +13,9 @@ def show_interval(name, interval):
     if interval is None:
         print(f"  {name}: undefined (empty conditioning event)")
         return
-    print(f"  {name}: {100 * interval.point:.1f}% "
-          f"[{100 * interval.low:.1f}, {100 * interval.high:.1f}]% "
-          f"at confidence {interval.gamma}")
+    print(f"  {name}: {100 * interval['point']:.1f}% "
+          f"[{100 * interval['low']:.1f}, {100 * interval['high']:.1f}]% "
+          f"at confidence {interval['gamma']}")
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +27,9 @@ def show_interval(name, interval):
 counts = ConfusionMatrix(tp=34, fp=21, fn=11, tn=174)
 stats = agreement_stats_from_counts(counts, gamma=0.95)
 print(f"{counts.total} labeled flights")
-print(f"  agreement accuracy: {100 * stats.agreement_accuracy:.1f}%")
-show_interval("p(unsafe | uncertain)", stats.p_unsafe_given_uncertain)
-show_interval("p(uncertain | unsafe)", stats.p_uncertain_given_unsafe)
+print(f"  agreement accuracy: {100 * stats['agreement_accuracy']:.1f}%")
+show_interval("p(unsafe | uncertain)", stats["p_unsafe_given_uncertain"])
+show_interval("p(uncertain | unsafe)", stats["p_uncertain_given_unsafe"])
 
 # ---------------------------------------------------------------------------
 # Wilson intervals directly: narrow with plentiful data, wide when scarce.
@@ -37,7 +37,7 @@ show_interval("p(uncertain | unsafe)", stats.p_uncertain_given_unsafe)
 print("\nWilson interval behavior:")
 for k, n in [(7, 10), (70, 100), (700, 1000)]:
     iv = wilson(k, n)
-    print(f"  {k}/{n}: [{100 * iv.low:.1f}, {100 * iv.high:.1f}]%")
+    print(f"  {k}/{n}: [{100 * iv['low']:.1f}, {100 * iv['high']:.1f}]%")
 
 # ---------------------------------------------------------------------------
 # Detector scoring: a confusion matrix and the derived metrics.

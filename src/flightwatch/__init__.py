@@ -50,7 +50,6 @@ from .autoenc import (
 )
 from .detector import (
     AlarmEvent,
-    CalibrationResult,
     DetectionReport,
     DetectorConfig,
     StreamDetector,
@@ -60,9 +59,7 @@ from .detector import (
     report_to_dict,
 )
 from .evalstats import (
-    AgreementStats,
     ConfusionMatrix,
-    WilsonInterval,
     agreement_stats,
     agreement_stats_from_counts,
     confusion,

@@ -290,6 +290,13 @@ class Crop:
         return np.pad(dy, ((0, 0), (0, pad), (0, 0)))
 
 
+# The weighted layers, encoder first, in the order their weights are drawn:
+# name, type, input and output channels as indices into (1, *filters), stride.
+_ARCHITECTURE = (("enc1", Conv1d, 0, 1, 2), ("enc2", Conv1d, 1, 2, 2),
+                 ("dec1", ConvTranspose1d, 2, 2, 2), ("dec2", ConvTranspose1d, 2, 1, 2),
+                 ("out", ConvTranspose1d, 1, 0, 1))
+
+
 class AutoencoderModel:
     """Convolutional autoencoder over fixed-length heading windows.
 
@@ -312,11 +319,9 @@ class AutoencoderModel:
         self.filters = (int(f1), int(f2))
         self.kernel_size = kernel_size
         self.dropout = dropout
-        self.enc1 = Conv1d(1, f1, kernel_size, 2, rng)
-        self.enc2 = Conv1d(f1, f2, kernel_size, 2, rng)
-        self.dec1 = ConvTranspose1d(f2, f2, kernel_size, 2, rng)
-        self.dec2 = ConvTranspose1d(f2, f1, kernel_size, 2, rng)
-        self.out = ConvTranspose1d(f1, 1, kernel_size, 1, rng)
+        channels = (1, *self.filters)
+        for name, kind, i, o, stride in _ARCHITECTURE:
+            setattr(self, name, kind(channels[i], channels[o], kernel_size, stride, rng))
         self.layers = [self.enc1, Relu(), Dropout(dropout),
                        self.enc2, Relu(),
                        self.dec1, Relu(), Dropout(dropout),
@@ -333,8 +338,7 @@ class AutoencoderModel:
         self.loss_history: list[float] = []
 
     def weighted_layers(self) -> list[tuple[str, Conv1d | ConvTranspose1d]]:
-        return [("enc1", self.enc1), ("enc2", self.enc2),
-                ("dec1", self.dec1), ("dec2", self.dec2), ("out", self.out)]
+        return [(name, getattr(self, name)) for name, *_ in _ARCHITECTURE]
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         params = []
@@ -565,9 +569,21 @@ _META = {
 
 
 def _model_doc(model: AutoencoderModel) -> dict:
-    """The document :func:`save_model` writes, which a loaded file must equal."""
-    return {"format": FORMAT_MAGIC, "version": FORMAT_VERSION,
-            "meta": {key: read(getattr(model, key)) for key, read in _META.items()},
+    """The document :func:`save_model` writes, which a loaded file must equal; ValueError
+    for a weight not finite, window geometry neither all null nor a :class:`PreprocessConfig`
+    of ``input_length`` samples, a threshold not null or in (0, inf), or n_consecutive < 1."""
+    meta = {key: read(getattr(model, key)) for key, read in _META.items()}
+    for name, layer in model.weighted_layers():
+        if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
+            raise ValueError(f"layer {name!r} has a weight that is not finite")
+    geom = (meta["window_length"], meta["overlap"], meta["sample_rate"])
+    if geom != (None,) * 3 and PreprocessConfig(*geom).window_samples != meta["input_length"]:
+        raise ValueError(f"window geometry {geom} is not of {meta['input_length']} samples")
+    if not (meta["threshold"] is None or 0 < meta["threshold"] < math.inf):
+        raise ValueError(f"threshold {meta['threshold']!r} is not null or in (0, inf)")
+    if meta["n_consecutive"] < 1:
+        raise ValueError(f"n_consecutive {meta['n_consecutive']} is less than 1")
+    return {"format": FORMAT_MAGIC, "version": FORMAT_VERSION, "meta": meta,
             "layers": [{"name": name, "kind": layer.kind, "in_channels": layer.in_channels,
                         "out_channels": layer.out_channels, "kernel_size": layer.kernel_size,
                         "stride": layer.stride, "w": layer.w.ravel().tolist(),
@@ -575,9 +591,14 @@ def _model_doc(model: AutoencoderModel) -> dict:
 
 
 def save_model(model: AutoencoderModel, path) -> None:
-    """Serialize a model to versioned JSON with full-precision weights."""
-    Path(path).write_text(json.dumps(_model_doc(model), sort_keys=True, separators=(",", ":"))
-                          + "\n", encoding="utf-8")
+    """Serialize a model to versioned JSON with full-precision weights; a model that
+    :func:`_model_doc` rejects is ``ValueError("<path>: not saved (<why>)")``, unwritten."""
+    try:
+        doc = _model_doc(model)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not saved ({exc})") from None
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
 
 
 def _difference(new, old, where: str = "") -> str | None:
@@ -599,10 +620,10 @@ def _difference(new, old, where: str = "") -> str | None:
 def load_model(path) -> AutoencoderModel:
     """Load a model saved by :func:`save_model`; the round trip is bit-exact.
 
-    Any other file is ``ValueError("<path>: not a flightwatch model (<why>)")``, as
-    is one with a weight not finite, a threshold not null or in (0, inf),
-    ``n_consecutive`` < 1, or window geometry neither all null nor a
-    :class:`PreprocessConfig` of ``input_length`` samples."""
+    Any other file is ``ValueError("<path>: not a flightwatch model (<why>)")``:
+    one whose layers do not hold the weights its ``meta`` sizes (checked
+    before any array is allocated), one that :func:`_model_doc` rejects, and
+    one that does not re-encode to itself."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, dict) or doc.get("format") != FORMAT_MAGIC:
@@ -611,25 +632,20 @@ def load_model(path) -> AutoencoderModel:
             raise ValueError(f"unsupported model version {doc.get('version')!r}, "
                              f"expected {FORMAT_VERSION}")
         values = {key: read(doc["meta"][key]) for key, read in _META.items()}
+        channels, k = (1, *values["filters"]), values["kernel_size"]
+        sizes = [(channels[i] * channels[o] * k, channels[o]) for _, _, i, o, _ in _ARCHITECTURE]
+        if [(len(spec["w"]), len(spec["b"])) for spec in doc["layers"]] != sizes:
+            raise ValueError(f"layers do not hold the {sizes} weights and biases of meta")
         model = AutoencoderModel(values.pop("input_length"), values.pop("filters"),
                                  values.pop("kernel_size"), values.pop("dropout"))
         vars(model).update(values)
-        for (name, layer), spec in zip(model.weighted_layers(), doc["layers"]):
+        for (_, layer), spec in zip(model.weighted_layers(), doc["layers"]):
             layer.w = np.array(spec["w"], dtype=float).reshape(layer.w.shape)
             layer.b = np.array(spec["b"], dtype=float).reshape(layer.b.shape)
-            if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
-                raise ValueError(f"layer {name!r} has a weight that is not finite")
-        geom = (model.window_length, model.overlap, model.sample_rate)
-        if geom != (None,) * 3 and PreprocessConfig(*geom).window_samples != model.input_length:
-            raise ValueError(f"window geometry {geom} is not of {model.input_length} samples")
-        if not (model.threshold is None or 0 < model.threshold < math.inf):
-            raise ValueError(f"threshold {model.threshold!r} is not null or in (0, inf)")
-        if model.n_consecutive < 1:
-            raise ValueError(f"n_consecutive {model.n_consecutive} is less than 1")
         where = _difference(_model_doc(model), doc)
         if where is not None:
             raise ValueError(f"{where} does not re-encode to itself")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         why = str(exc) if type(exc) is ValueError else f"{type(exc).__name__}: {exc}"
         raise ValueError(f"{path}: not a flightwatch model ({why})") from None
     return model

@@ -28,8 +28,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, autoenc, detector, evalstats, preprocess, synthgen
 from .flightdata import parse_flight_log, parse_labels, parse_obstacles
 from .geometry import fitness_components, trajectory_from_log
@@ -153,30 +151,27 @@ def cmd_calibrate(args) -> dict:
     model = autoenc.load_model(args.model)
     _, windows, _ = _nominal_windows(args)
     losses = model.reconstruction_losses(windows)
-    result = detector.calibrate_threshold(losses, quantile=args.quantile, bins=args.bins)
+    calibration = detector.calibrate_threshold(losses, quantile=args.quantile, bins=args.bins)
     hist_path = out / "loss_histogram.csv"
     with open(hist_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bin_low", "bin_high", "count", "log10_count"])
-        for lo, hi, count, log10 in result.histogram_rows():
-            writer.writerow([repr(lo), repr(hi), count,
-                             "" if log10 is None else repr(log10)])
+        writer.writerows(calibration.pop("histogram"))  # None as "", a float as its repr
     calib_path = out / "calibration.json"
-    calib_path.write_text(json.dumps(
-        {"suggested_threshold": result.threshold, "quantile": result.quantile,
-         "n_losses": result.n_losses, "max_loss": float(np.max(losses))},
-        sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    calib_path.write_text(json.dumps(calibration, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
     outputs = [hist_path, calib_path]
+    suggested = calibration["suggested_threshold"]
     theta = args.set_threshold if args.set_threshold is not None else (
-        result.threshold if args.apply else None)
+        suggested if args.apply else None)
     if theta is not None:
         model.threshold = float(theta)
         model_path = out / "model.json"
         autoenc.save_model(model, model_path)
         outputs.append(model_path)
         print(f"threshold {model.threshold!r} written into {model_path}")
-    print(f"suggested threshold (quantile {args.quantile}): {result.threshold!r} "
-          f"from {result.n_losses} nominal losses")
+    print(f"suggested threshold (quantile {args.quantile}): {suggested!r} "
+          f"from {calibration['n_losses']} nominal losses")
     return {"inputs": [args.model, args.windows], "outputs": outputs, "failures": {}}
 
 

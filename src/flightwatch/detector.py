@@ -157,33 +157,14 @@ def detect_stream(model: AutoencoderModel, windows: Iterable[HeadingWindow],
     return det.report()
 
 
-# compared and hashed by identity: an array comparison has no single truth value
-@dataclass(frozen=True, eq=False)
-class CalibrationResult:
-    """Suggested threshold plus the loss histogram it was read from."""
-
-    threshold: float
-    quantile: float
-    n_losses: int
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    def histogram_rows(self) -> list[tuple[float, float, int, float | None]]:
-        """(bin_low, bin_high, count, log10_count) rows; log10 empty for zero bins."""
-        rows = []
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            rows.append((float(lo), float(hi), int(c),
-                         math.log10(c) if c > 0 else None))
-        return rows
-
-
-def calibrate_threshold(nominal_losses, quantile: float = 0.999,
-                        bins: int = 50) -> CalibrationResult:
+def calibrate_threshold(nominal_losses, quantile: float = 0.999, bins: int = 50) -> dict:
     """Empirical-quantile threshold suggestion from nominal reconstruction losses.
 
-    The suggestion is advisory: the hand-tuned default of 0.3 remains in
-    :class:`DetectorConfig`.  Histogram counts are returned for inspection on
-    a log scale.
+    Returns the ``calibration.json`` document (``suggested_threshold``,
+    ``quantile``, ``n_losses``, ``max_loss``) plus a ``histogram`` of
+    ``(bin_low, bin_high, count, log10_count)`` rows, log10 None for an empty
+    bin, for inspection on a log scale.  The suggestion is advisory: the
+    hand-tuned default of 0.3 remains in :class:`DetectorConfig`.
     """
     losses = np.asarray(nominal_losses, dtype=float)
     if losses.size == 0:
@@ -193,10 +174,11 @@ def calibrate_threshold(nominal_losses, quantile: float = 0.999,
         raise ValueError(f"{n_bad} of {losses.size} calibration losses are not finite")
     if not 0.0 <= quantile <= 1.0:
         raise ValueError("quantile must lie in [0, 1]")
-    theta = float(np.quantile(losses, quantile))
     counts, edges = np.histogram(losses, bins=bins)
-    return CalibrationResult(threshold=theta, quantile=quantile,
-                             n_losses=int(losses.size), bin_edges=edges, counts=counts)
+    return {"suggested_threshold": float(np.quantile(losses, quantile)), "quantile": quantile,
+            "n_losses": int(losses.size), "max_loss": float(np.max(losses)),
+            "histogram": [(lo, hi, c, math.log10(c) if c > 0 else None) for lo, hi, c in
+                          zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())]}
 
 
 def lead_time_analysis(doc: dict, distance_trace: DistanceTrace | None,

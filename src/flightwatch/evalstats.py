@@ -109,22 +109,9 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
-@dataclass(frozen=True)
-class WilsonInterval:
-    """Score confidence interval for a binomial proportion."""
-
-    point: float
-    low: float
-    high: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.low <= self.point <= self.high <= 1.0):
-            raise ValueError("need 0 <= low <= point <= high <= 1")
-
-
-def wilson(successes: int, trials: int, gamma: float = 0.95) -> WilsonInterval:
-    """Wilson score interval for ``successes`` out of ``trials`` at confidence gamma."""
+def wilson(successes: int, trials: int, gamma: float = 0.95) -> dict:
+    """Wilson score interval for ``successes`` out of ``trials`` at confidence gamma:
+    ``{"point", "low", "high", "gamma"}``, with ``0 <= low <= point <= high <= 1``."""
     if trials <= 0:
         raise ValueError("trials must be > 0")
     if not 0 <= successes <= trials:
@@ -140,50 +127,7 @@ def wilson(successes: int, trials: int, gamma: float = 0.95) -> WilsonInterval:
     # the interval contains phat mathematically; clamping absorbs float dust
     low = min(max(0.0, center - half), phat)
     high = max(min(1.0, center + half), phat)
-    return WilsonInterval(point=phat, low=low, high=high, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class AgreementStats:
-    """Safety/certainty co-occurrence plus the two conditional probabilities.
-
-    ``counts`` treats each flight's certainty label as a prediction of its
-    safety label: tp = unsafe and uncertain, fp = safe and uncertain,
-    fn = unsafe and certain, tn = safe and certain.  So p(unsafe | uncertain)
-    is that table's precision and p(uncertain | unsafe) its recall.
-    """
-
-    counts: ConfusionMatrix
-    agreement_accuracy: float
-    p_unsafe_given_uncertain: WilsonInterval | None
-    p_uncertain_given_unsafe: WilsonInterval | None
-
-
-def agreement_stats_from_counts(cm: ConfusionMatrix,
-                                gamma: float = 0.95) -> AgreementStats:
-    """Agreement accuracy and conditional probabilities from the agreement
-    table (see :class:`AgreementStats`).
-
-    Conditional probabilities with a zero-count conditioning event are absent.
-    """
-    n_uncertain = cm.tp + cm.fp
-    n_unsafe = cm.tp + cm.fn
-    return AgreementStats(
-        counts=cm, agreement_accuracy=metrics(cm)["accuracy"],
-        p_unsafe_given_uncertain=wilson(cm.tp, n_uncertain, gamma) if n_uncertain else None,
-        p_uncertain_given_unsafe=wilson(cm.tp, n_unsafe, gamma) if n_unsafe else None)
-
-
-def _label_bits(labels: Mapping[str, FlightLabels]) -> tuple[dict, dict]:
-    """Each flight's labels as two truth maps: uncertain, and unsafe."""
-    return ({fid: lab.certainty == "uncertain" for fid, lab in labels.items()},
-            {fid: lab.safety == "unsafe" for fid, lab in labels.items()})
-
-
-def agreement_stats(labels: Mapping[str, FlightLabels],
-                    gamma: float = 0.95) -> AgreementStats:
-    """Agreement statistics over a labeled flight set."""
-    return agreement_stats_from_counts(confusion(*_label_bits(labels)), gamma)
+    return {"point": phat, "low": low, "high": high, "gamma": gamma}
 
 
 # Column order of the flat tables.  The tables never follow the document's key
@@ -194,8 +138,36 @@ _PER_FLIGHT = ("flight_id", "safety", "certainty", "predicted_uncertain", "n_ala
                "first_alarm_time_s", "lead_time_s", "distance_at_first_alarm_m")
 
 
-def _interval(iv: WilsonInterval | None) -> dict | None:
-    return None if iv is None else asdict(iv)
+def agreement_stats_from_counts(cm: ConfusionMatrix, gamma: float = 0.95) -> dict:
+    """The ``label_agreement`` section of the evaluation document: the label
+    counts, the agreement accuracy, and p(unsafe | uncertain) and
+    p(uncertain | unsafe) as :func:`wilson` intervals, null where the
+    conditioning event has no flight.
+
+    ``cm`` treats each flight's certainty label as a prediction of its
+    safety label: tp = unsafe and uncertain, fp = safe and uncertain,
+    fn = unsafe and certain, tn = safe and certain.  So p(unsafe | uncertain)
+    is that table's precision and p(uncertain | unsafe) its recall.
+    """
+    n_uncertain = cm.tp + cm.fp
+    n_unsafe = cm.tp + cm.fn
+    return {
+        "counts": dict(zip(_LABEL_COUNTS, (cm.tp, cm.fn, cm.fp, cm.tn))),
+        "agreement_accuracy": metrics(cm)["accuracy"],
+        "p_unsafe_given_uncertain": wilson(cm.tp, n_uncertain, gamma) if n_uncertain else None,
+        "p_uncertain_given_unsafe": wilson(cm.tp, n_unsafe, gamma) if n_unsafe else None,
+    }
+
+
+def _label_bits(labels: Mapping[str, FlightLabels]) -> tuple[dict, dict]:
+    """Each flight's labels as two truth maps: uncertain, and unsafe."""
+    return ({fid: lab.certainty == "uncertain" for fid, lab in labels.items()},
+            {fid: lab.safety == "unsafe" for fid, lab in labels.items()})
+
+
+def agreement_stats(labels: Mapping[str, FlightLabels], gamma: float = 0.95) -> dict:
+    """:func:`agreement_stats_from_counts` of a labeled flight set."""
+    return agreement_stats_from_counts(confusion(*_label_bits(labels)), gamma)
 
 
 def _axis(predicted: Mapping[str, bool], truth: Mapping[str, bool]) -> dict:
@@ -224,20 +196,13 @@ def dataset_report(reports: Iterable[dict], labels: Mapping[str, FlightLabels],
     predicted = {fid: rep["flight_uncertain"] for fid, rep in by_id.items()}
     uncertain, unsafe = _label_bits(labels)
     ground_truth = dict(zip(_AXES, (_axis(predicted, uncertain), _axis(predicted, unsafe))))
-    agreement = agreement_stats_from_counts(confusion(uncertain, unsafe), gamma)
-    cm = agreement.counts
     lead_times = [r["lead_time_s"] for r in reports if r["lead_time_s"] is not None]
     distances = [r["distance_at_first_alarm_m"] for r in reports
                  if r["distance_at_first_alarm_m"] is not None]
     return {
         "n_flights": len(reports),
         "ground_truth": ground_truth,
-        "label_agreement": {
-            "counts": dict(zip(_LABEL_COUNTS, (cm.tp, cm.fn, cm.fp, cm.tn))),
-            "agreement_accuracy": agreement.agreement_accuracy,
-            "p_unsafe_given_uncertain": _interval(agreement.p_unsafe_given_uncertain),
-            "p_uncertain_given_unsafe": _interval(agreement.p_uncertain_given_unsafe),
-        },
+        "label_agreement": agreement_stats_from_counts(confusion(uncertain, unsafe), gamma),
         "lead_time": {"count": len(lead_times), "values_s": lead_times,
                       "mean_s": float(np.mean(lead_times)) if lead_times else None,
                       "median_s": float(np.median(lead_times)) if lead_times else None},

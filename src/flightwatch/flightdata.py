@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, ContextManager, Iterable, Mapping
 
@@ -107,7 +108,8 @@ class FlightLog:
 
 @dataclass(frozen=True)
 class ObstacleBox:
-    """Box obstacle footprint: center, side lengths, yaw rotation in degrees."""
+    """Box obstacle footprint: center, side lengths, yaw rotation in degrees.
+    Every field is finite, and the side lengths are > 0."""
 
     cx: float
     cy: float
@@ -117,9 +119,11 @@ class ObstacleBox:
     rotation: float = 0.0
 
     def __post_init__(self):
-        for name in ("length", "width", "height"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"obstacle {name} must be > 0, got {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if name in ("length", "width", "height") and not value > 0:
+                raise ValidationError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,8 @@ def write_flight_log(log: FlightLog, path) -> None:
 
 
 def parse_obstacles(source) -> list[ObstacleBox]:
-    """Parse a JSON array of obstacle boxes (possibly empty)."""
+    """Parse a JSON array of obstacle boxes (possibly empty); a box that is not a
+    valid :class:`ObstacleBox` is a ValueError naming its index in the array."""
     with open_text(source) as stream:
         try:
             doc = json.load(stream)
@@ -275,23 +280,19 @@ def parse_obstacles(source) -> list[ObstacleBox]:
         if not isinstance(item, dict):
             raise ParseError(f"obstacle {i}: expected an object")
         try:
-            boxes.append(ObstacleBox(
-                cx=float(item["cx"]), cy=float(item["cy"]),
-                length=float(item["length"]), width=float(item["width"]),
-                height=float(item["height"]), rotation=float(item.get("rotation", 0.0)),
-            ))
+            values = [float(item[k]) for k in ("cx", "cy", "length", "width", "height")]
+            boxes.append(ObstacleBox(*values, rotation=float(item.get("rotation", 0.0))))
         except KeyError as exc:
             raise ParseError(f"obstacle {i}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
+        except ValidationError as exc:
+            raise ValidationError(f"obstacle {i}: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"obstacle {i}: {exc}") from None
     return boxes
 
 
 def write_obstacles(boxes: Iterable[ObstacleBox], path) -> None:
-    doc = [{"cx": b.cx, "cy": b.cy, "length": b.length, "width": b.width,
-            "height": b.height, "rotation": b.rotation} for b in boxes]
+    doc = [asdict(b) for b in boxes]
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 

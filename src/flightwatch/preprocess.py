@@ -255,10 +255,13 @@ def windows_csv_width(header: Sequence[str] | None) -> int:
 def parse_window_row(row: Sequence[str], width: int,
                      window_length: float | None = None) -> HeadingWindow:
     """One windowed-dataset row of ``8 + width`` fields as a window with a
-    finite ``start`` and ``end`` whose difference matches ``window_length``,
-    when given, within 1e-9.  Its values may be NaN: such a window alarms."""
+    flight id, and a finite ``start`` and ``end`` whose difference matches
+    ``window_length``, when given, within 1e-9.  Its values may be NaN: such a
+    window alarms."""
     if len(row) != 8 + width:
         raise ValueError(f"expected {8 + width} fields, got {len(row)}")
+    if not row[0]:
+        raise ValueError("empty flight_id")
     win = HeadingWindow(
         flight_id=row[0], index=int(row[1]), start=float(row[2]),
         end=float(row[3]), values=np.array([float(v) for v in row[8:]]),

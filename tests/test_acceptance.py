@@ -51,15 +51,15 @@ def test_criterion_1_agreement_statistics():
     }
     for name, (counts, agree, p_uu, ci_uu, p_un, ci_un) in cases.items():
         stats = agreement_stats_from_counts(counts, gamma=0.95)
-        assert PCT * stats.agreement_accuracy == pytest.approx(agree, abs=TOL_PP)
-        iv = stats.p_unsafe_given_uncertain
-        assert PCT * iv.point == pytest.approx(p_uu, abs=TOL_PP)
-        assert PCT * iv.low == pytest.approx(ci_uu[0], abs=TOL_PP)
-        assert PCT * iv.high == pytest.approx(ci_uu[1], abs=TOL_PP)
-        iv = stats.p_uncertain_given_unsafe
-        assert PCT * iv.point == pytest.approx(p_un, abs=TOL_PP)
-        assert PCT * iv.low == pytest.approx(ci_un[0], abs=TOL_PP)
-        assert PCT * iv.high == pytest.approx(ci_un[1], abs=TOL_PP)
+        assert PCT * stats["agreement_accuracy"] == pytest.approx(agree, abs=TOL_PP)
+        iv = stats["p_unsafe_given_uncertain"]
+        assert PCT * iv["point"] == pytest.approx(p_uu, abs=TOL_PP)
+        assert PCT * iv["low"] == pytest.approx(ci_uu[0], abs=TOL_PP)
+        assert PCT * iv["high"] == pytest.approx(ci_uu[1], abs=TOL_PP)
+        iv = stats["p_uncertain_given_unsafe"]
+        assert PCT * iv["point"] == pytest.approx(p_un, abs=TOL_PP)
+        assert PCT * iv["low"] == pytest.approx(ci_un[0], abs=TOL_PP)
+        assert PCT * iv["high"] == pytest.approx(ci_un[1], abs=TOL_PP)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     _ok(1, f"both datasets' agreement stats and Wilson intervals "

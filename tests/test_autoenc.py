@@ -605,9 +605,8 @@ class TestSerialization:
         elif kind == "type":
             place = data.draw(st.sampled_from(places))
             key = data.draw(st.sampled_from(sorted(place)))
-            # small values only: a meta number sizes the arrays the model allocates
             place[key] = data.draw(st.one_of(
-                st.none(), st.booleans(), st.integers(-2, 40), st.floats(-50, 50),
+                st.none(), st.booleans(), st.integers(-2, 10 ** 6), st.floats(-50, 50),
                 st.text("0123456789.e-", max_size=3), st.lists(st.integers(0, 40), max_size=3),
                 st.just({})).filter(lambda v: type(v) is not type(place[key])))
         elif kind == "non-finite":
@@ -643,6 +642,43 @@ class TestSerialization:
         resaved = path.parent / "resaved.json"
         save_model(model, resaved)
         assert resaved.read_bytes() == edited.read_bytes()
+
+    @pytest.mark.parametrize("meta", [{"kernel_size": 1_000_000},
+                                      {"filters": [100_000, 100_000]}],
+                             ids=["kernel-size", "filters"])
+    def test_weights_meta_sizes_but_the_file_lacks_allocate_nothing(self, saved_doc, tmp_path,
+                                                                    meta):
+        path, original = saved_doc
+        doc = json.loads(original)
+        doc["meta"].update(meta)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_model(edited)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value).startswith(f"{edited}: not a flightwatch model (")
+        assert peak < 5_000_000
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda m: m.enc2.b.__setitem__(0, math.nan),
+         "layer 'enc2' has a weight that is not finite"),
+        (lambda m: setattr(m, "window_length", 6.0),
+         "window geometry (6.0, 2.5, 5.0) is not of 25 samples"),
+        (lambda m: setattr(m, "threshold", 0.0), "threshold 0.0 is not null or in (0, inf)"),
+        (lambda m: setattr(m, "n_consecutive", 0), "n_consecutive 0 is less than 1"),
+    ], ids=["nan-bias", "geometry-of-30-samples", "threshold-0", "n-consecutive-0"])
+    def test_model_that_load_model_rejects_is_not_saved(self, saved_doc, tmp_path, edit, why):
+        model = load_model(saved_doc[0])
+        edit(model)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError) as info:
+            save_model(model, path)
+        assert str(info.value) == f"{path}: not saved ({why})"
+        assert not path.exists()
 
     def test_wrong_window_length_input(self, tmp_path):
         _, path = self._trained(tmp_path)

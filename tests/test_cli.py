@@ -7,10 +7,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flightwatch
@@ -18,6 +19,8 @@ from flightwatch import autoenc, cli, geometry
 from flightwatch.cli import main
 from flightwatch.detector import read_report
 from flightwatch.preprocess import read_windows_csv
+from test_flightdata import OBSTACLE_BOX, obstacle_mutations
+from test_preprocess import mutated_lines, window_row_mutations
 
 
 def run(*argv):
@@ -176,6 +179,16 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
 
+    def test_diverged_training_writes_no_model(self, synth_dirs, tmp_path, capsys):
+        out = tmp_path / "m"
+        with np.errstate(all="ignore"):
+            assert run("train", "--windows", synth_dirs["pre"] / "windows.csv",
+                       "--max-epochs", "2", "--lr", "1e12", "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {out / 'model.json'}: not saved "
+                                           f"(layer 'enc1' has a weight that is not finite)\n")
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_histogram_and_thresholded_model(self, synth_dirs):
         calib = synth_dirs["calib"]
@@ -201,6 +214,18 @@ class TestCalibrate:
                    "--set-threshold", "0.3", "--out", out) == 0
         model = json.loads((out / "model.json").read_text())
         assert model["meta"]["threshold"] == 0.3
+
+    @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
+    def test_threshold_no_model_may_hold_is_not_written(self, synth_dirs, tmp_path, capsys,
+                                                        theta):
+        out = tmp_path / "c"
+        assert run("calibrate", "--model", synth_dirs["model"],
+                   "--windows", synth_dirs["pre"] / "windows.csv",
+                   "--set-threshold", theta, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'model.json'}: not saved "
+            f"(threshold {float(theta)!r} is not null or in (0, inf))\n")
+        assert not (out / "model.json").exists()
 
 
 class TestDetect:
@@ -380,6 +405,24 @@ class TestDetect:
         assert rc == 1
         assert err == [f"error: row 3: window interval [{bound}, {bound}] is not finite"]
         assert [line.split(",")[:2] for line in out[1:]] == [[fid, "5"]]
+
+    def test_window_without_a_flight_id_is_rejected(self, synth_dirs, tmp_path, monkeypatch,
+                                                    capsys):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fid = lines[1].split(",", 1)[0]
+        rows = [line.split(",") for line in lines[1:] if line.startswith(fid + ",")][:6]
+        rows[1][0] = ""
+        stream = [lines[0]] + [",".join(row) for row in rows]
+        windows = tmp_path / "windows.csv"
+        windows.write_text("\n".join(stream) + "\n")
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--windows", windows,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == "error: line 3: empty flight_id\n"
+        assert not out.exists()
+        rc, _, err = self._stream(synth_dirs, monkeypatch, capsys, stream)
+        assert rc == 1
+        assert err == ["error: row 3: empty flight_id"]
 
     @pytest.mark.parametrize("header, message", [
         ("flight,index,start_s", "bad windowed dataset header"),
@@ -807,3 +850,78 @@ class TestExitStatus:
         assert run("detect", "--model", path, "--logs", synth_dirs["held"] / "logs",
                    "--out", tmp_path / "det") == 2
         assert capsys.readouterr().err == f"error: {path}: not a flightwatch model ({why})\n"
+
+    @pytest.mark.parametrize("command", ["preprocess", "detect", "fitness"])
+    def test_obstacle_that_is_not_finite_exits_2(self, synth_dirs, tmp_path, capsys, command):
+        held = synth_dirs["held"]
+        boxes = json.loads((held / "obstacles.json").read_text())
+        boxes[0]["cx"] = math.nan
+        obstacles = tmp_path / "obstacles.json"
+        obstacles.write_text(json.dumps(boxes))
+        argv = {"preprocess": [], "fitness": [],
+                "detect": ["--model", synth_dirs["calibrated"]]}[command]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--logs", held / "logs", "--obstacles", obstacles,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == "error: obstacle 0: cx must be finite, got nan\n"
+        assert not out.exists()
+
+
+class TestReaderProperties:
+    """One edit of a valid input, through the CLI: exit 2 naming the obstacle or
+    the line, or the run goes on; never an exception out of ``main``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=obstacle_mutations())
+    @example(case=([{**OBSTACLE_BOX, "cx": math.nan}], 0))
+    def test_obstacle_document(self, synth_dirs, tmp_path_factory, case):
+        boxes, i = case
+        root = tmp_path_factory.mktemp("obstacles")
+        (root / "obstacles.json").write_text(json.dumps(boxes))
+        log = sorted((synth_dirs["held"] / "logs").glob("*.csv"))[0]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run("detect", "--model", synth_dirs["calibrated"], "--log", log,
+                     "--obstacles", root / "obstacles.json", "--out", root / "det")
+        assert rc in (0, 2)
+        assert (rc == 2) == err.getvalue().startswith(f"error: obstacle {i}: ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutation=window_row_mutations())
+    @example(mutation=(3, 0, ""))
+    def test_windows_csv(self, synth_dirs, tmp_path_factory, mutation):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()[:7]
+        text = "\n".join(mutated_lines(lines, mutation)) + "\n"
+        try:
+            read_windows_csv(io.StringIO(text), 5.0)
+            fault = None
+        except ValueError as exc:
+            fault = str(exc)
+        root = tmp_path_factory.mktemp("windows")
+        (root / "windows.csv").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run("detect", "--model", synth_dirs["calibrated"],
+                     "--windows", root / "windows.csv", "--out", root / "det")
+        stream_err = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                contextlib.redirect_stderr(stream_err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            stream_rc = run("detect", "--model", synth_dirs["calibrated"], "--stream")
+        if fault is not None:
+            assert fault.startswith(f"line {mutation[0]}: ")
+            assert (rc, err.getvalue()) == (2, f"error: {fault}\n")
+            # the stream skips the row the file reader rejects
+            assert (stream_rc, stream_err.getvalue()) == (
+                1, f"error: row {fault.removeprefix('line ')}\n")
+        else:
+            # a well-formed window that its flight cannot take (an index out of
+            # order) fails that flight or row alone
+            assert all(line.startswith("error: flight ")
+                       for line in err.getvalue().splitlines())
+            assert rc == (1 if err.getvalue() else 0)
+            assert all(read_report(path)["flight_id"]
+                       for path in (root / "det" / "reports").glob("*.json"))
+            assert all(line.startswith("error: row ")
+                       for line in stream_err.getvalue().splitlines())
+            assert stream_rc == (1 if stream_err.getvalue() else 0)

@@ -56,11 +56,11 @@ class TestCalibrate:
         rng = np.random.default_rng(0)
         losses = rng.uniform(0.0, 0.4, size=1000)
         result = calibrate_threshold(losses, quantile=1.0)
-        assert result.threshold == losses.max()
+        assert result["suggested_threshold"] == losses.max()
 
     def test_all_equal(self):
         result = calibrate_threshold(np.full(100, 0.05), quantile=0.37)
-        assert result.threshold == pytest.approx(0.05)
+        assert result["suggested_threshold"] == pytest.approx(0.05)
 
     def test_long_tailed_histogram_puts_threshold_in_band(self):
         # most mass below 0.05, a thin tail up to 0.4: the 0.999 quantile
@@ -72,15 +72,16 @@ class TestCalibrate:
             rng.uniform(0.2, 0.4, size=40),
         ])
         result = calibrate_threshold(losses, quantile=0.999)
-        assert 0.2 <= result.threshold <= 0.4
+        assert 0.2 <= result["suggested_threshold"] <= 0.4
         assert DetectorConfig().threshold == 0.3
 
     def test_histogram_has_requested_bins(self):
-        result = calibrate_threshold(np.linspace(0, 1, 500), bins=50)
-        assert len(result.counts) == 50
-        assert len(result.bin_edges) == 51
-        rows = result.histogram_rows()
+        rows = calibrate_threshold(np.linspace(0, 1, 500), bins=50)["histogram"]
         assert len(rows) == 50
+        edges = [r[0] for r in rows] + [rows[-1][1]]
+        assert edges == np.linspace(0, 1, 51).tolist()
+        assert all(r[1] == s[0] for r, s in zip(rows, rows[1:]))
+        assert sum(r[2] for r in rows) == 500
         assert all(r[3] is None or r[3] == math.log10(r[2]) for r in rows)
 
     def test_empty_is_error(self):
@@ -94,7 +95,7 @@ class TestCalibrate:
     def test_linear_interpolated_quantile(self):
         losses = np.arange(1, 101, dtype=float)  # 1..100
         result = calibrate_threshold(losses, quantile=0.5)
-        assert result.threshold == pytest.approx(np.quantile(losses, 0.5))
+        assert result["suggested_threshold"] == pytest.approx(np.quantile(losses, 0.5))
 
 
 class TestDetectStream:

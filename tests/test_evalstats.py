@@ -47,24 +47,24 @@ class TestNormalQuantile:
 class TestWilson:
     def test_half_proportion_small_sample(self):
         iv = wilson(16, 32, 0.95)
-        assert pct(iv.low) == pytest.approx(33.6, abs=0.1)
-        assert pct(iv.high) == pytest.approx(66.4, abs=0.1)
-        assert iv.point == pytest.approx(0.5)
+        assert pct(iv["low"]) == pytest.approx(33.6, abs=0.1)
+        assert pct(iv["high"]) == pytest.approx(66.4, abs=0.1)
+        assert iv["point"] == pytest.approx(0.5)
 
     def test_high_proportion(self):
         iv = wilson(123, 138, 0.95)
-        assert pct(iv.low) == pytest.approx(82.8, abs=0.1)
-        assert pct(iv.high) == pytest.approx(93.3, abs=0.1)
+        assert pct(iv["low"]) == pytest.approx(82.8, abs=0.1)
+        assert pct(iv["high"]) == pytest.approx(93.3, abs=0.1)
 
     def test_all_successes_boundary(self):
         iv = wilson(20, 20, 0.95)
-        assert iv.high == 1.0
-        assert iv.low < 1.0
+        assert iv["high"] == 1.0
+        assert iv["low"] < 1.0
 
     def test_zero_successes_boundary(self):
         iv = wilson(0, 20, 0.95)
-        assert iv.low == 0.0
-        assert iv.high > 0.0
+        assert iv["low"] == 0.0
+        assert iv["high"] > 0.0
 
     def test_contains_empirical_proportion(self):
         rng = np.random.default_rng(2)
@@ -72,10 +72,10 @@ class TestWilson:
             n = int(rng.integers(1, 500))
             k = int(rng.integers(0, n + 1))
             iv = wilson(k, n)
-            assert iv.low <= k / n <= iv.high
+            assert 0.0 <= iv["low"] <= iv["point"] == k / n <= iv["high"] <= 1.0
 
     def test_width_shrinks_with_n(self):
-        widths = [wilson(k, n).high - wilson(k, n).low
+        widths = [wilson(k, n)["high"] - wilson(k, n)["low"]
                   for k, n in ((5, 10), (50, 100), (500, 1000), (5000, 10000))]
         assert widths == sorted(widths, reverse=True)
 
@@ -143,21 +143,21 @@ class TestConfusion:
 class TestAgreement:
     def test_diverse_dataset_counts(self):
         stats = agreement_stats_from_counts(ConfusionMatrix(tp=16, fp=16, fn=9, tn=148))
-        assert pct(stats.agreement_accuracy) == pytest.approx(86.8, abs=0.1)
-        assert pct(stats.p_unsafe_given_uncertain.point) == pytest.approx(50.0, abs=0.1)
-        assert pct(stats.p_uncertain_given_unsafe.point) == pytest.approx(64.0, abs=0.1)
+        assert pct(stats["agreement_accuracy"]) == pytest.approx(86.8, abs=0.1)
+        assert pct(stats["p_unsafe_given_uncertain"]["point"]) == pytest.approx(50.0, abs=0.1)
+        assert pct(stats["p_uncertain_given_unsafe"]["point"]) == pytest.approx(64.0, abs=0.1)
 
     def test_larger_dataset_counts(self):
         stats = agreement_stats_from_counts(ConfusionMatrix(tp=123, fp=43, fn=15, tn=361))
-        assert pct(stats.agreement_accuracy) == pytest.approx(89.3, abs=0.1)
-        assert pct(stats.p_unsafe_given_uncertain.point) == pytest.approx(74.1, abs=0.1)
-        assert pct(stats.p_uncertain_given_unsafe.point) == pytest.approx(89.1, abs=0.1)
+        assert pct(stats["agreement_accuracy"]) == pytest.approx(89.3, abs=0.1)
+        assert pct(stats["p_unsafe_given_uncertain"]["point"]) == pytest.approx(74.1, abs=0.1)
+        assert pct(stats["p_uncertain_given_unsafe"]["point"]) == pytest.approx(89.1, abs=0.1)
 
     def test_all_safe_certain(self):
         stats = agreement_stats_from_counts(ConfusionMatrix(tp=0, fp=0, fn=0, tn=25))
-        assert stats.agreement_accuracy == 1.0
-        assert stats.p_unsafe_given_uncertain is None
-        assert stats.p_uncertain_given_unsafe is None
+        assert stats["agreement_accuracy"] == 1.0
+        assert stats["p_unsafe_given_uncertain"] is None
+        assert stats["p_uncertain_given_unsafe"] is None
 
     def test_from_labels(self):
         labels = {}
@@ -166,8 +166,9 @@ class TestAgreement:
         for i, (s, c) in enumerate(combos):
             labels[f"f{i}"] = FlightLabels(f"f{i}", s, c)
         stats = agreement_stats(labels)
-        assert stats.counts == ConfusionMatrix(tp=3, fp=4, fn=2, tn=11)
-        assert stats.agreement_accuracy == pytest.approx(14 / 20)
+        assert stats["counts"] == {"unsafe_uncertain": 3, "unsafe_certain": 2,
+                                   "safe_uncertain": 4, "safe_certain": 11}
+        assert stats["agreement_accuracy"] == pytest.approx(14 / 20)
 
     def test_polarity_swap_invariance(self):
         rng = np.random.default_rng(6)
@@ -177,7 +178,7 @@ class TestAgreement:
                 continue
             a = agreement_stats_from_counts(ConfusionMatrix(tp=uu, fp=su, fn=uc, tn=sc))
             b = agreement_stats_from_counts(ConfusionMatrix(tp=sc, fp=uc, fn=su, tn=uu))
-            assert a.agreement_accuracy == pytest.approx(b.agreement_accuracy)
+            assert a["agreement_accuracy"] == pytest.approx(b["agreement_accuracy"])
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flightwatch import flightdata
@@ -102,6 +103,10 @@ class TestRoundTrip:
         assert total == len(log.records) == 15
 
 
+OBSTACLE_BOX = {"cx": 1.5, "cy": -2.0, "length": 3.0, "width": 1.0, "height": 10.0,
+                "rotation": 30.0}
+
+
 class TestObstacles:
     def test_single_box(self):
         doc = '[{"cx":0,"cy":0,"length":2,"width":1,"height":10,"rotation":0}]'
@@ -123,6 +128,60 @@ class TestObstacles:
     def test_missing_key(self):
         with pytest.raises(ParseError, match="missing key"):
             parse_obstacles(io.StringIO('[{"cx":0}]'))
+
+    @pytest.mark.parametrize("key, value", [("cx", math.nan), ("rotation", math.nan),
+                                            ("cx", math.inf), ("length", math.inf),
+                                            ("cy", -math.inf)])
+    def test_non_finite_field_is_rejected_by_name(self, key, value):
+        doc = json.dumps([OBSTACLE_BOX, {**OBSTACLE_BOX, key: value}])
+        with pytest.raises(ValidationError,
+                           match=f"^obstacle 1: {key} must be finite, got {value}$"):
+            parse_obstacles(io.StringIO(doc))
+
+    def test_number_beyond_float_range_names_the_obstacle(self):
+        doc = json.dumps([{**OBSTACLE_BOX, "cy": 10 ** 400}])
+        with pytest.raises(ParseError, match="^obstacle 0: int too large to convert to float$"):
+            parse_obstacles(io.StringIO(doc))
+
+
+# a value of another type, a number that is not finite, or an empty one
+_OBSTACLE_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 0, -1, None, True, "",
+                     "3", "nan", "abc", [], {}]),
+    st.floats(), st.integers(), st.text(max_size=4))
+
+
+@st.composite
+def obstacle_mutations(draw):
+    """``(boxes, i)``: a valid obstacle document with one edit to obstacle i, a
+    key dropped or a value (or the whole obstacle) replaced."""
+    boxes = [{**OBSTACLE_BOX, "cx": 10.0 * k} for k in range(draw(st.integers(1, 3)))]
+    i = draw(st.integers(0, len(boxes) - 1))
+    key = draw(st.sampled_from([None, *OBSTACLE_BOX]))
+    if key is None:
+        boxes[i] = draw(_OBSTACLE_VALUES)
+    elif draw(st.booleans()):
+        del boxes[i][key]
+    else:
+        boxes[i][key] = draw(_OBSTACLE_VALUES)
+    return boxes, i
+
+
+class TestObstacleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=obstacle_mutations())
+    @example(case=([{**OBSTACLE_BOX, "cx": math.nan}], 0))
+    def test_one_mutation_gives_valid_boxes_or_names_the_obstacle(self, case):
+        boxes, i = case
+        try:
+            parsed = parse_obstacles(io.StringIO(json.dumps(boxes)))
+        except ValueError as exc:
+            assert str(exc).startswith(f"obstacle {i}: ")
+            return
+        assert len(parsed) == len(boxes)
+        for box in parsed:
+            assert all(math.isfinite(v) for v in vars(box).values())
+            assert min(box.length, box.width, box.height) > 0
 
 
 class TestLabels:

@@ -425,6 +425,8 @@ class TestWindowsCsv:
             parse_window_row(row + ["5"], 4)
         with pytest.raises(ValueError):
             parse_window_row(row[:8] + ["1", "x", "3", "4"], 4)
+        with pytest.raises(ValueError, match="^empty flight_id$"):
+            parse_window_row([""] + row[1:], 4)
         assert parse_window_row(row, 4, window_length=5.0 + 5e-10).end == 5.0
         with pytest.raises(ValueError, match=r"^window spans 5.0 s, expected 2.5 s$"):
             parse_window_row(row, 4, window_length=2.5)
@@ -440,6 +442,57 @@ class TestWindowsCsv:
         lines[20] = lines[20].rsplit(",", 3)[0]
         with pytest.raises(ValueError, match=r"^line 21: expected 33 fields, got 30$"):
             read_windows_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def _window_lines():
+    """A valid windowed dataset of two flights, three windows each, as lines."""
+    t = _uniform_series(10.0)
+    trace = DistanceTrace(t, np.linspace(2.0, 9.0, t.size))
+    wins = [w for fid in ("a", "b") for w in make_windows(
+        t, np.linspace(0.0, 30.0, t.size), CFG, distance_trace=trace, flight_id=fid)]
+    buf = io.StringIO()
+    write_windows_csv(wins, buf)
+    return buf.getvalue().splitlines()
+
+
+# another type, a number that is not finite, or an empty value; never a comma
+_ROW_TOKENS = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "NaN", "1e400", "abc"]),
+                        st.text("ab019.e-+ ", max_size=4))
+
+
+@st.composite
+def window_row_mutations(draw):
+    """``(line, field, token)``: drop field ``field`` of file line ``line`` of a
+    windowed dataset of six 25-sample rows (token None), or replace it with ``token``."""
+    return (draw(st.integers(2, 7)), draw(st.integers(0, 8 + 25 - 1)),
+            draw(st.one_of(st.none(), _ROW_TOKENS)))
+
+
+def mutated_lines(lines, mutation):
+    line, field, token = mutation
+    row = lines[line - 1].split(",")
+    if token is None:
+        del row[field]
+    else:
+        row[field] = token
+    return lines[:line - 1] + [",".join(row)] + lines[line:]
+
+
+class TestWindowsCsvProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(mutation=window_row_mutations())
+    @example(mutation=(3, 0, ""))
+    def test_one_mutation_gives_valid_windows_or_names_the_line(self, mutation):
+        lines = mutated_lines(_window_lines(), mutation)
+        try:
+            windows = read_windows_csv(io.StringIO("\n".join(lines) + "\n"), 5.0)
+        except ValueError as exc:
+            assert str(exc).startswith(f"line {mutation[0]}: ")
+            return
+        assert len(windows) == 6
+        for w in windows:
+            assert w.flight_id and type(w.index) is int and w.values.shape == (25,)
+            assert math.isfinite(w.start) and abs(w.end - w.start - 5.0) <= _EPS
 
 
 def _two_flights(config):

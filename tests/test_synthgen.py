@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from flightwatch.detector import CalibrationResult
 from flightwatch.geometry import (DistanceTrace, Trajectory, min_obstacle_distance,
                                   trajectory_from_log)
 from flightwatch.preprocess import HeadingWindow, PreprocessConfig, preprocess_flight
@@ -26,8 +25,6 @@ ARRAY_RECORDS = {
     "DistanceTrace": lambda: DistanceTrace(np.array([0.0, 1.0]), np.array([2.0, 3.0])),
     "Trajectory": lambda: Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3))),
     "HeadingWindow": lambda: HeadingWindow("f", 0, 0.0, 5.0, np.zeros(25)),
-    "CalibrationResult": lambda: CalibrationResult(1.0, 0.5, 2, np.array([0.0, 1.0, 2.0]),
-                                                   np.array([1, 1])),
     "SyntheticFlight": lambda: generate(SynthConfig(seed=3), {"certain_safe": 1}).flights[0],
 }
 
