@@ -427,7 +427,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.min_delta) <= 0:
+        if not (self.learning_rate > 0 and self.min_delta > 0):
             raise ValueError("learning_rate and min_delta must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be >= 1")

@@ -8,12 +8,14 @@ and failures next to the outputs.  It exits 1 iff some items failed and the
 rest were processed (a flight, or a ``detect --stream`` row, reported on
 stderr and in the manifest's ``failures``), 2 on bad input (removing an
 --out it created if that is still empty), else 0.
-All numeric defaults are overridable by flags or by a flat key-value JSON
-config file (flag names with underscores); explicit flags win over the config
-file.  Window geometry is read from windows.csv by train and calibrate and
-from the model by ``detect``, never guessed (``--windows/--stream`` reject
-windows of another length or sample count).  ``detect`` warns when no
-calibrated threshold is given and records it in its manifest.
+A --config file is a flat JSON object keyed by flag name with underscores;
+its entries are parsed as the flags they name, right after the command:
+``true`` is the bare flag, ``false`` and ``null`` none, another value ``v``
+``--<key>=<str(v)>``.  So an entry gets its flag's checks and conflicts, and
+an explicit flag wins.  Window geometry is read from windows.csv by train and
+calibrate and from the model by ``detect``, never guessed (``--windows`` and
+``--stream`` reject windows of another length or sample count).  ``detect``
+warns when no calibrated threshold is given and records it in its manifest.
 """
 
 from __future__ import annotations
@@ -58,11 +60,19 @@ def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> N
     tmp.replace(outdir / MANIFEST_NAME)
 
 
-def _load_config_file(path: str) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file's entries as the flags of ``args.command`` they name."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a flat JSON object")
-    return doc
+    unknown = {k for k in doc if k not in vars(args) or k in ("func", "command")}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return ["--" + k.replace("_", "-") + ("" if v is True else f"={v}")
+            for k, v in doc.items() if v is not False and v is not None]
 
 
 def _sorted_logs(logs_dir: str) -> list[Path]:
@@ -162,8 +172,7 @@ def cmd_calibrate(args) -> dict:
                           encoding="utf-8")
     outputs = [hist_path, calib_path]
     suggested = calibration["suggested_threshold"]
-    theta = args.set_threshold if args.set_threshold is not None else (
-        suggested if args.apply else None)
+    theta = suggested if args.apply else args.set_threshold
     if theta is not None:
         model.threshold = float(theta)
         model_path = out / "model.json"
@@ -358,12 +367,13 @@ def cmd_synth(args) -> dict:
     return {"inputs": [], "outputs": list(paths.values()), "failures": {}}
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call, built once per process.  A
+    flag's dest is the one argparse derives from its name, as config keys are."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--config", default=None,
-                        help="flat JSON file of flag defaults (flags override it)")
+    common.add_argument("--out", help="output directory")
+    common.add_argument("--config", help="flat JSON object of flags (explicit flags win)")
 
     parser = argparse.ArgumentParser(
         prog="flightwatch",
@@ -374,24 +384,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("preprocess", parents=[common],
                        help="build the windowed heading dataset from flight logs")
     p.add_argument("--logs", required=True, help="directory of flight-log CSVs")
-    p.add_argument("--obstacles", default=None, help="obstacle JSON file")
-    p.add_argument("--labels", default=None, help="labels CSV to attach")
-    p.add_argument("--window-s", type=float, default=5.0, dest="window_s")
-    p.add_argument("--overlap-s", type=float, default=2.5, dest="overlap_s")
-    p.add_argument("--rate-hz", type=float, default=5.0, dest="rate_hz")
+    p.add_argument("--obstacles", help="obstacle JSON file")
+    p.add_argument("--labels", help="labels CSV to attach")
+    p.add_argument("--window-s", type=float, default=5.0)
+    p.add_argument("--overlap-s", type=float, default=2.5)
+    p.add_argument("--rate-hz", type=float, default=5.0)
     p.add_argument("--require-distances", action="store_true")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", parents=[common],
                        help="train the autoencoder on nominal windows")
     p.add_argument("--windows", required=True, help="windowed dataset CSV")
-    p.add_argument("--nominal-dist", type=float, default=3.0, dest="nominal_dist")
-    p.add_argument("--lookahead-s", type=float, default=50.0, dest="lookahead_s")
+    p.add_argument("--nominal-dist", type=float, default=3.0)
+    p.add_argument("--lookahead-s", type=float, default=50.0)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=128, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, default=300, dest="max_epochs")
+    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--max-epochs", type=int, default=300)
     p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--min-delta", type=float, default=1e-5, dest="min_delta")
+    p.add_argument("--min-delta", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_train)
 
@@ -401,37 +411,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--windows", required=True, help="windowed dataset CSV")
     p.add_argument("--quantile", type=float, default=0.999)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--nominal-dist", type=float, default=3.0, dest="nominal_dist")
-    p.add_argument("--lookahead-s", type=float, default=50.0, dest="lookahead_s")
+    p.add_argument("--nominal-dist", type=float, default=3.0)
+    p.add_argument("--lookahead-s", type=float, default=50.0)
     p.add_argument("--no-filter", action="store_true",
                    help="treat all given windows as nominal")
-    p.add_argument("--apply", action="store_true",
-                   help="write the calibrated threshold into a model copy")
-    p.add_argument("--set-threshold", type=float, default=None, dest="set_threshold",
-                   help="write this threshold into a model copy")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--apply", action="store_true",
+                           help="write the calibrated threshold into a model copy")
+    threshold.add_argument("--set-threshold", type=float,
+                           help="write this threshold into a model copy")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("detect", parents=[common],
                        help="run uncertainty detection over flights")
     p.add_argument("--model", required=True)
-    p.add_argument("--log", default=None, help="single flight-log CSV")
-    p.add_argument("--logs", default=None, help="directory of flight-log CSVs")
-    p.add_argument("--windows", default=None, help="windowed dataset CSV")
-    p.add_argument("--obstacles", default=None,
-                   help="obstacle JSON (enables lead-time analysis)")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--n-consecutive", type=int, default=None, dest="n_consecutive")
-    p.add_argument("--critical-dist", type=float, default=1.0, dest="critical_dist")
-    p.add_argument("--stream", action="store_true",
-                   help="read windowed-CSV rows from stdin, emit alarms to stdout")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--log", help="single flight-log CSV")
+    source.add_argument("--logs", help="directory of flight-log CSVs")
+    source.add_argument("--windows", help="windowed dataset CSV")
+    source.add_argument("--stream", action="store_true",
+                        help="read windowed-CSV rows from stdin, emit alarms to stdout")
+    p.add_argument("--obstacles", help="obstacle JSON (enables lead-time analysis)")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--n-consecutive", type=int)
+    p.add_argument("--critical-dist", type=float, default=1.0)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="aggregate detection reports against labels")
     p.add_argument("--reports", required=True, help="directory of report JSON files")
     p.add_argument("--labels", required=True, help="labels CSV")
-    p.add_argument("--ground-truth", choices=["both", "certainty", "safety"],
-                   default="both", dest="ground_truth")
+    p.add_argument("--ground-truth", choices=["both", "certainty", "safety"], default="both")
     p.add_argument("--gamma", type=float, default=0.95)
     p.set_defaults(func=cmd_evaluate)
 
@@ -440,8 +450,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--logs", required=True,
                    help="directory of logs: one test case's executions")
     p.add_argument("--obstacles", required=True)
-    p.add_argument("--max-dtw", type=float, default=65.0, dest="max_dtw")
-    p.add_argument("--resample-n", type=int, default=200, dest="resample_n")
+    p.add_argument("--max-dtw", type=float, default=65.0)
+    p.add_argument("--resample-n", type=int, default=200)
     p.set_defaults(func=cmd_fitness)
 
     p = sub.add_parser("synth", parents=[common],
@@ -449,40 +459,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--counts", default="10,10,10,5",
                    help="flights per class: " + ",".join(synthgen.CLASS_NAMES))
     p.add_argument("--duration", type=float, default=300.0)
-    p.add_argument("--noise-std", type=float, default=1.0, dest="noise_std")
-    p.add_argument("--rate-hz", type=float, default=5.0, dest="rate_hz")
+    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--rate-hz", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_synth)
 
-    return parser, sub.choices
-
-
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every call of :func:`main` parses with; nothing changes it
-    once it is built."""
-    return _build_parser()[0]
-
-
-_NEEDS_OUT = {"preprocess", "train", "calibrate", "detect", "evaluate", "synth"}
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(argv)
     made_out: list[Path] = []  # directories this run creates for --out, deepest first
     try:
         if args.config:
-            overrides = _load_config_file(args.config)
-            unknown = {k for k in overrides
-                       if k not in vars(args) or k in ("func", "command")}
-            if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            # reparse with config values as defaults so explicit flags still
-            # win, on a parser of this call's own that no later call sees
-            parser, subparsers = _build_parser()
-            subparsers[args.command].set_defaults(**overrides)
-            args = parser.parse_args(argv)
-        if args.command in _NEEDS_OUT and not args.out and not getattr(args, "stream", False):
+            # the config's flags go right after the command, so an explicit
+            # flag, parsed after them, wins
+            args = _parser().parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
+        if args.command != "fitness" and not args.out and not getattr(args, "stream", False):
             raise ValueError(f"{args.command} requires --out")
         if args.out:
             out = Path(args.out)

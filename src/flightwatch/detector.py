@@ -148,11 +148,8 @@ def detect_stream(model: AutoencoderModel, windows: Iterable[HeadingWindow],
     feeding the windows to a :class:`StreamDetector` gives.
     """
     windows = list(windows)
-    values = (np.stack([w.values for w in windows]) if windows
-              else np.empty((0, model.input_length)))
-    losses = model.reconstruction_losses(values)
     det = StreamDetector(model, config, flight_id)
-    for w, loss in zip(windows, losses.tolist()):
+    for w, loss in zip(windows, model.reconstruction_losses(windows).tolist()):
         det._step(w, loss)
     return det.report()
 

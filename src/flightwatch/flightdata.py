@@ -267,7 +267,7 @@ def write_flight_log(log: FlightLog, path) -> None:
 
 def parse_obstacles(source) -> list[ObstacleBox]:
     """Parse a JSON array of obstacle boxes (possibly empty); a box that is not a
-    valid :class:`ObstacleBox` is a ValueError naming its index in the array."""
+    valid :class:`ObstacleBox` of JSON numbers is a ValueError naming its index."""
     with open_text(source) as stream:
         try:
             doc = json.load(stream)
@@ -280,13 +280,17 @@ def parse_obstacles(source) -> list[ObstacleBox]:
         if not isinstance(item, dict):
             raise ParseError(f"obstacle {i}: expected an object")
         try:
-            values = [float(item[k]) for k in ("cx", "cy", "length", "width", "height")]
-            boxes.append(ObstacleBox(*values, rotation=float(item.get("rotation", 0.0))))
+            fields = {k: item[k] for k in ("cx", "cy", "length", "width", "height")}
+            fields["rotation"] = item.get("rotation", 0.0)
+            for key, value in fields.items():
+                if type(value) not in (int, float):  # a JSON number; true is not one
+                    raise ParseError(f"{key} must be a number, got {value!r}")
+            boxes.append(ObstacleBox(**{k: float(v) for k, v in fields.items()}))
         except KeyError as exc:
             raise ParseError(f"obstacle {i}: missing key {exc}") from None
         except ValidationError as exc:
             raise ValidationError(f"obstacle {i}: {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"obstacle {i}: {exc}") from None
     return boxes
 
@@ -299,12 +303,14 @@ def write_obstacles(boxes: Iterable[ObstacleBox], path) -> None:
 def parse_labels(source) -> dict[str, FlightLabels]:
     """Parse the labels CSV into a map flight_id -> FlightLabels.
 
-    Duplicate flight ids and unknown label tokens raise ValidationError.
+    An empty or duplicate flight id or an unknown label raises ValidationError.
     """
     with open_text(source) as stream:
         labels: dict[str, FlightLabels] = {}
         for line_no, row in _csv_rows(stream, LABELS_HEADER):
             fid, safety, certainty = (tok.strip() for tok in row)
+            if not fid:
+                raise ValidationError(f"line {line_no}: empty flight_id")
             if fid in labels:
                 raise ValidationError(f"line {line_no}: duplicate flight_id {fid!r}")
             try:

@@ -41,12 +41,12 @@ class PreprocessConfig:
     def __post_init__(self):
         if not 0 < self.overlap < self.window_length:
             raise ValueError("need 0 < overlap < window_length")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be finite and > 0")
         w = self.sample_rate * self.window_length
-        if abs(w - round(w)) > 1e-6 or round(w) < 4:
+        if not (math.isfinite(w) and abs(w - round(w)) <= 1e-6 and round(w) >= 4):
             raise ValueError("sample_rate * window_length must be an integer >= 4")
-        if self.nominal_distance < 0 or self.nominal_lookahead < 0:
+        if not (self.nominal_distance >= 0 and self.nominal_lookahead >= 0):
             raise ValueError("nominal filter parameters must be >= 0")
 
     @property
@@ -255,9 +255,9 @@ def windows_csv_width(header: Sequence[str] | None) -> int:
 def parse_window_row(row: Sequence[str], width: int,
                      window_length: float | None = None) -> HeadingWindow:
     """One windowed-dataset row of ``8 + width`` fields as a window with a
-    flight id, and a finite ``start`` and ``end`` whose difference matches
-    ``window_length``, when given, within 1e-9.  Its values may be NaN: such a
-    window alarms."""
+    flight id, a finite ``start`` and ``end`` whose difference matches
+    ``window_length``, when given, within 1e-9, and distances >= 0 (``inf``:
+    no distance trace).  Its values may be NaN: such a window alarms."""
     if len(row) != 8 + width:
         raise ValueError(f"expected {8 + width} fields, got {len(row)}")
     if not row[0]:
@@ -269,6 +269,9 @@ def parse_window_row(row: Sequence[str], width: int,
         safety=row[6] or None, certainty=row[7] or None)
     if not (math.isfinite(win.start) and math.isfinite(win.end)):
         raise ValueError(f"window interval [{win.start!r}, {win.end!r}] is not finite")
+    if not (win.win_dist >= 0 and win.min_dist >= 0):
+        raise ValueError(f"win_dist_m and min_dist_m must be >= 0, "
+                         f"got {win.win_dist!r} and {win.min_dist!r}")
     if window_length is not None and abs(win.end - win.start - window_length) > _EPS:
         raise ValueError(f"window spans {win.end - win.start!r} s, expected {window_length!r} s")
     return win

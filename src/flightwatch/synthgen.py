@@ -46,10 +46,10 @@ class SynthConfig:
     noise_std: float = 1.0
 
     def __post_init__(self):
-        if self.flight_duration <= 0 or self.sample_rate <= 0:
-            raise ValueError("flight_duration and sample_rate must be > 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not (0 < self.flight_duration < math.inf and 0 < self.sample_rate < math.inf):
+            raise ValueError("flight_duration and sample_rate must be finite and > 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and >= 0")
 
 
 @dataclass(frozen=True)

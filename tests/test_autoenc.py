@@ -483,6 +483,9 @@ class TestTraining:
             TrainConfig(min_delta=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for field in ("learning_rate", "min_delta"):
+            with pytest.raises(ValueError, match="^learning_rate and min_delta must be > 0$"):
+                TrainConfig(**{field: math.nan})
         cfg = TrainConfig()
         assert (cfg.learning_rate, _Adam.beta1, _Adam.beta2, _Adam.epsilon) \
             == (1e-3, 0.9, 0.999, 1e-8)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import io
@@ -18,13 +19,26 @@ import flightwatch
 from flightwatch import autoenc, cli, geometry
 from flightwatch.cli import main
 from flightwatch.detector import read_report
+from flightwatch.flightdata import parse_labels
 from flightwatch.preprocess import read_windows_csv
-from test_flightdata import OBSTACLE_BOX, obstacle_mutations
+from test_flightdata import OBSTACLE_BOX, label_mutations, obstacle_mutations
 from test_preprocess import mutated_lines, window_row_mutations
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """``run(*argv)``'s status, the status of argparse's exit included, with
+    stdout and stderr captured: ``(status, stderr)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = run(*argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -424,6 +438,27 @@ class TestDetect:
         assert rc == 1
         assert err == ["error: row 3: empty flight_id"]
 
+    @pytest.mark.parametrize("win_dist, min_dist", [("nan", "inf"), ("-1.0", "inf"),
+                                                    ("3.0", "nan")])
+    def test_window_distance_that_is_nan_or_negative_is_rejected(
+            self, synth_dirs, tmp_path, monkeypatch, capsys, win_dist, min_dist):
+        # one NaN win_dist_m used to drop every window whose look-ahead covers
+        # it from training, silently
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fields = lines[29].split(",")
+        fields[4:6] = [win_dist, min_dist]
+        lines[29] = ",".join(fields)
+        windows = tmp_path / "windows.csv"
+        windows.write_text("\n".join(lines) + "\n")
+        why = f"win_dist_m and min_dist_m must be >= 0, got {win_dist} and {min_dist}"
+        out = tmp_path / "m"
+        assert run("train", "--windows", windows, "--max-epochs", "2", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: line 30: {why}\n"
+        assert not out.exists()
+        rc, _, err = self._stream(synth_dirs, monkeypatch, capsys, lines[:31])
+        assert rc == 1
+        assert err == [f"error: row 30: {why}"]
+
     @pytest.mark.parametrize("header, message", [
         ("flight,index,start_s", "bad windowed dataset header"),
         ("flight_id,index,start_s,end_s,win_dist_m,min_dist_m,safety,certainty,v0,v1",
@@ -707,26 +742,161 @@ class TestConfigFile:
         assert manifest["config"]["duration"] == 75.0
         assert manifest["version"]
 
+    def test_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("counts: 1,0,0,0")
+        assert run("synth", "--config", cfg, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == (f"error: config file {cfg} is not JSON: "
+                                           f"Expecting value: line 1 column 1 (char 0)\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, entry, message", [
+        ("synth", {"counts": 5}, "error: --counts needs 4 non-negative integers"),
+        ("evaluate", {"ground_truth": "bogus"},
+         "error: argument --ground-truth: invalid choice: 'bogus'"),
+        ("train", {"max_epochs": 1.5}, "error: argument --max-epochs: invalid int value: '1.5'"),
+        ("calibrate", {"quantile": [1]},
+         "error: argument --quantile: invalid float value: '[1]'"),
+        ("calibrate", {"apply": "no"},
+         "error: argument --apply: ignored explicit argument 'no'"),
+        ("train", {"seed": True}, "error: argument --seed: expected one argument"),
+        ("synth", {"counts": "-1,0,0,0"}, "error: --counts needs 4 non-negative integers"),
+        ("detect", {"logs": "logs"},
+         "error: argument --windows: not allowed with argument --logs"),
+        ("calibrate", {"apply": True},
+         "error: argument --set-threshold: not allowed with argument --apply"),
+    ], ids=["counts-5", "ground-truth-bogus", "max-epochs-1.5", "quantile-list", "apply-no",
+            "seed-true", "counts-starting-with-a-dash", "detect-source-conflict",
+            "apply-conflict"])
+    def test_entry_gets_its_flags_checks(self, synth_dirs, detection, tmp_path, command,
+                                         entry, message):
+        windows = synth_dirs["pre"] / "windows.csv"
+        argv = {"synth": [],
+                "evaluate": ["--reports", detection / "reports",
+                             "--labels", synth_dirs["held"] / "labels.csv"],
+                "train": ["--windows", windows],
+                "calibrate": ["--model", synth_dirs["model"], "--windows", windows,
+                              *(["--set-threshold", "5"] if entry.get("apply") is True
+                                else [])],
+                "detect": ["--model", synth_dirs["calibrated"], "--windows", windows]}[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        rc, err = exit_code(command, *argv, "--config", cfg, "--out", out)
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_null_and_false_leave_the_flag_out_and_true_is_the_bare_flag(self, synth_dirs,
+                                                                        tmp_path):
+        windows = synth_dirs["pre"] / "windows.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": None, "max_epochs": 2}))
+        assert run("train", "--windows", windows, "--config", cfg, "--out", tmp_path / "t") == 0
+        manifest = json.loads((tmp_path / "t" / "run_manifest.json").read_text())
+        assert (manifest["config"]["lr"], manifest["config"]["max_epochs"]) == (1e-3, 2)
+        argv = ["calibrate", "--model", synth_dirs["model"], "--windows", windows]
+        cfg.write_text(json.dumps({"apply": False}))
+        assert run(*argv, "--config", cfg, "--out", tmp_path / "off") == 0
+        assert not (tmp_path / "off" / "model.json").exists()
+        cfg.write_text(json.dumps({"apply": True}))
+        assert run(*argv, "--config", cfg, "--out", tmp_path / "on") == 0
+        assert (tmp_path / "on" / "model.json").read_bytes() \
+            == synth_dirs["calibrated"].read_bytes()  # as --apply wrote it
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--logs", "logs"],
+        ["train", "--windows", "windows.csv"],
+        ["calibrate", "--model", "model.json", "--windows", "windows.csv"],
+        ["detect", "--model", "model.json", "--logs", "logs"],
+        ["evaluate", "--reports", "reports", "--labels", "labels.csv"],
+        ["fitness", "--logs", "logs", "--obstacles", "obstacles.json"],
+        ["synth"],
+    ], ids=lambda argv: argv[0])
+    def test_every_flag_at_its_default_gives_the_same_namespace(self, tmp_path, monkeypatch,
+                                                                argv):
+        parser, seen = cli._parser(), []
+
+        def parse_args(args):  # runs nothing: the command records the namespace
+            ns = argparse.ArgumentParser.parse_args(parser, args)
+            ns.func = lambda a: seen.append(vars(a)) or {"inputs": [], "outputs": [],
+                                                         "failures": {}}
+            return ns
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        plain = {k: v for k, v in seen.pop().items() if k != "func"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in plain.items() if k != "command"}))
+        assert main([*argv, "--config", str(cfg)]) == 0
+        assert {k: v for k, v in seen.pop().items() if k != "func"} \
+            == {**plain, "config": str(cfg)}
+
+
+# a drawn JSON value, mostly a scalar; numbers stay within +-1000 (or are not
+# finite, or beyond float range) so that no accepted synth run is a large corpus
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000), st.floats(-1000, 1000),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "", "-1", "1e3", "0x10",
+                     "nan", " 7", "1,0,0,0", "0,1,0,0"]),
+    st.text(max_size=6))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, _JSON_SCALARS, _JSON_SCALARS,
+                         st.lists(_JSON_SCALARS, max_size=2),
+                         st.dictionaries(st.text(max_size=2), _JSON_SCALARS, max_size=2))
+# a valid config of each command; training stops after its second epoch
+_CONFIGS = {
+    "train": {"nominal_dist": 3.0, "lookahead_s": 50.0, "lr": 1e-3, "batch_size": 128,
+              "max_epochs": 2, "patience": 1, "min_delta": 1e3, "seed": 0},
+    "synth": {"counts": "1,0,0,0", "duration": 30.0, "noise_std": 1.0, "rate_hz": 5.0,
+              "seed": 0},
+}
+# ``(command, key, value)``: one value of a valid config replaced
+_CONFIG_EDITS = st.sampled_from(sorted(_CONFIGS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.sampled_from(sorted(_CONFIGS[command])), _JSON_VALUES))
+
+
+class TestConfigProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(edit=_CONFIG_EDITS)
+    @example(edit=("synth", "counts", 5))
+    @example(edit=("train", "max_epochs", 1.5))
+    @example(edit=("train", "lr", None))
+    @example(edit=("train", "seed", True))
+    def test_one_value_replaced_exits_0_as_its_flag_would_or_2(self, synth_dirs,
+                                                             tmp_path_factory, edit):
+        command, key, value = edit
+        root = tmp_path_factory.mktemp("config")
+        (root / "cfg.json").write_text(json.dumps({**_CONFIGS[command], key: value}))
+        argv = [command, *(["--windows", synth_dirs["pre"] / "windows.csv"]
+                           if command == "train" else [])]
+        with np.errstate(all="ignore"):
+            rc, err = exit_code(*argv, "--config", root / "cfg.json", "--out", root / "out")
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert err.splitlines()[-1].startswith(("error: ", f"flightwatch {command}: error: "))
+            assert not (root / "out").exists()
+            return
+        flags = [] if value is None or value is False else [
+            "--" + key.replace("_", "-") + ("" if value is True else f"={value}")]
+        want = vars(cli._parser().parse_args([str(a) for a in argv] + flags))[key]
+        got = json.loads((root / "out" / "run_manifest.json").read_text())["config"][key]
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
 
 class TestParser:
-    def test_built_once_and_a_config_reaches_only_its_own_call(self, synth_dirs,
-                                                               tmp_path, monkeypatch):
-        cli._shared_parser()
-        builds = []
-        build = cli._build_parser
-
-        def counted():
-            builds.append(1)
-            return build()
-
-        monkeypatch.setattr(cli, "_build_parser", counted)
+    def test_built_once_and_a_config_reaches_only_its_own_call(self, synth_dirs, tmp_path):
+        cli._parser()
+        hits = cli._parser.cache_info().hits
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nominal_dist": 2.0}))
         argv = ["calibrate", "--model", synth_dirs["model"],
                 "--windows", synth_dirs["pre"] / "windows.csv"]
         assert run(*argv, "--config", cfg, "--out", tmp_path / "a") == 0
         assert run(*argv, "--out", tmp_path / "b") == 0
-        assert len(builds) == 1  # the parser of the --config call only
+        info = cli._parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)  # one build in this process
+        assert info.hits - hits == 3  # the --config call parses twice
         for name, nominal_dist in (("a", 2.0), ("b", 3.0)):
             manifest = json.loads((tmp_path / name / "run_manifest.json").read_text())
             assert manifest["config"]["nominal_dist"] == nominal_dist
@@ -866,6 +1036,41 @@ class TestExitStatus:
         assert capsys.readouterr().err == "error: obstacle 0: cx must be finite, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, shown", [("cx", "3", "'3'"), ("length", True, "True")])
+    def test_obstacle_field_that_is_not_a_number_exits_2(self, synth_dirs, tmp_path, capsys,
+                                                         key, value, shown):
+        held = synth_dirs["held"]
+        boxes = json.loads((held / "obstacles.json").read_text())
+        boxes[0][key] = value
+        obstacles = tmp_path / "obstacles.json"
+        obstacles.write_text(json.dumps(boxes))
+        out = tmp_path / "out"
+        assert run("preprocess", "--logs", held / "logs", "--obstacles", obstacles,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: obstacle 0: {key} must be a number, got {shown}\n"
+        assert not out.exists()
+
+
+class TestConflictingFlags:
+    @pytest.mark.parametrize("command, flags, message", [
+        ("detect", ["--logs", "held/logs", "--windows", "pre/windows.csv"],
+         "argument --windows: not allowed with argument --logs"),
+        ("detect", ["--log", "held/logs/a.csv", "--stream"],
+         "argument --stream: not allowed with argument --log"),
+        ("calibrate", ["--apply", "--set-threshold", "5"],
+         "argument --set-threshold: not allowed with argument --apply"),
+    ], ids=["logs-and-windows", "log-and-stream", "apply-and-set-threshold"])
+    def test_exit_2_and_write_nothing(self, synth_dirs, tmp_path, command, flags, message):
+        flags = [synth_dirs["root"] / f if "/" in f else f for f in flags]
+        argv = {"detect": ["--model", synth_dirs["calibrated"]],
+                "calibrate": ["--model", synth_dirs["model"],
+                              "--windows", synth_dirs["pre"] / "windows.csv"]}[command]
+        out = tmp_path / "out"
+        rc, err = exit_code(command, *argv, *flags, "--out", out)
+        assert rc == 2
+        assert err.splitlines()[-1] == f"flightwatch {command}: error: {message}"
+        assert not out.exists()
+
 
 class TestReaderProperties:
     """One edit of a valid input, through the CLI: exit 2 naming the obstacle or
@@ -885,6 +1090,28 @@ class TestReaderProperties:
                      "--obstacles", root / "obstacles.json", "--out", root / "det")
         assert rc in (0, 2)
         assert (rc == 2) == err.getvalue().startswith(f"error: obstacle {i}: ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_labels_csv(self, synth_dirs, detection, tmp_path_factory, data):
+        lines = (synth_dirs["held"] / "labels.csv").read_text().splitlines()
+        lines, n = data.draw(label_mutations(lines))
+        text = "\n".join(lines) + "\n"
+        try:
+            parse_labels(io.StringIO(text))
+            fault = None
+        except ValueError as exc:
+            fault = str(exc)
+        root = tmp_path_factory.mktemp("labels")
+        (root / "labels.csv").write_text(text)
+        rc, err = exit_code("evaluate", "--reports", detection / "reports",
+                            "--labels", root / "labels.csv", "--out", root / "eval")
+        if fault is None:
+            assert (rc, err) == (0, "")
+        else:
+            assert fault.startswith(f"line {n}: ")
+            assert (rc, err) == (2, f"error: {fault}\n")
+            assert not (root / "eval").exists()
 
     @settings(max_examples=40, deadline=None)
     @given(mutation=window_row_mutations())

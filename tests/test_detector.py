@@ -32,9 +32,10 @@ class _FixedLossModel:
 
     input_length = 25
 
-    def reconstruction_losses(self, windows, batch_size=1024):
-        x = np.asarray(windows, dtype=float)
-        return np.mean(x ** 2, axis=1)
+    def reconstruction_losses(self, windows):
+        # windows or a window matrix, any number of them, as AutoencoderModel takes
+        x = np.array([getattr(w, "values", w) for w in windows], dtype=float)
+        return np.mean(x.reshape(-1, self.input_length) ** 2, axis=1)
 
 
 def _windows_from_losses(losses, flight_id="f"):

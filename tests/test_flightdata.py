@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from flightwatch import flightdata
 from flightwatch.flightdata import (
+    CERTAINTY_LABELS,
     CHANNELS,
     RECORD_DTYPE,
+    SAFETY_LABELS,
     FlightLabels,
     FlightLog,
     ObstacleBox,
@@ -138,6 +141,15 @@ class TestObstacles:
                            match=f"^obstacle 1: {key} must be finite, got {value}$"):
             parse_obstacles(io.StringIO(doc))
 
+    @pytest.mark.parametrize("key, value, shown", [("cx", "3", "'3'"), ("length", True, "True"),
+                                                   ("rotation", None, "None"),
+                                                   ("height", [10], "[10]")])
+    def test_field_that_is_not_a_json_number_is_rejected_by_name(self, key, value, shown):
+        doc = json.dumps([OBSTACLE_BOX, {**OBSTACLE_BOX, key: value}])
+        with pytest.raises(ParseError,
+                           match=rf"^obstacle 1: {key} must be a number, got {re.escape(shown)}$"):
+            parse_obstacles(io.StringIO(doc))
+
     def test_number_beyond_float_range_names_the_obstacle(self):
         doc = json.dumps([{**OBSTACLE_BOX, "cy": 10 ** 400}])
         with pytest.raises(ParseError, match="^obstacle 0: int too large to convert to float$"):
@@ -171,6 +183,8 @@ class TestObstacleProperty:
     @settings(max_examples=300, deadline=None)
     @given(case=obstacle_mutations())
     @example(case=([{**OBSTACLE_BOX, "cx": math.nan}], 0))
+    @example(case=([{**OBSTACLE_BOX, "cx": "3"}], 0))
+    @example(case=([{**OBSTACLE_BOX, "length": True}], 0))
     def test_one_mutation_gives_valid_boxes_or_names_the_obstacle(self, case):
         boxes, i = case
         try:
@@ -179,9 +193,13 @@ class TestObstacleProperty:
             assert str(exc).startswith(f"obstacle {i}: ")
             return
         assert len(parsed) == len(boxes)
-        for box in parsed:
+        for box, doc in zip(parsed, boxes):
             assert all(math.isfinite(v) for v in vars(box).values())
             assert min(box.length, box.width, box.height) > 0
+            # each field is the document's JSON number (rotation 0 when absent)
+            for key, value in vars(box).items():
+                given = doc.get(key, 0.0)
+                assert type(given) in (int, float) and value == given
 
 
 class TestLabels:
@@ -206,6 +224,56 @@ class TestLabels:
         path = tmp_path / "labels.csv"
         write_labels(labels, path)
         assert parse_labels(path) == labels
+
+
+LABEL_LINES = ["flight_id,safety,certainty", "a,safe,certain", "b,unsafe,uncertain",
+               "c,safe,uncertain", "d,unsafe,certain"]
+_LABEL_TOKENS = st.one_of(st.sampled_from(["safe", "unsafe", "certain", "uncertain", " safe",
+                                           "Safe", "risky", ""]),
+                          st.text("acefinrstu ", max_size=9))
+
+
+@st.composite
+def label_mutations(draw, lines):
+    """``(lines, n)``: the valid labels CSV ``lines`` with one row edited: a
+    field dropped, a cell emptied, a label replaced, another row's flight id
+    given, or a field added.  If the edit is a fault, file line ``n`` is the
+    first faulty one."""
+    lines = list(lines)
+    k = n = draw(st.integers(2, len(lines)))  # the file line edited
+    row = lines[k - 1].split(",")
+    kind = draw(st.sampled_from(["drop", "empty", "label", "duplicate", "extra"]))
+    if kind == "drop":
+        del row[draw(st.integers(0, 2))]
+    elif kind == "empty":
+        row[draw(st.integers(0, 2))] = ""
+    elif kind == "label":
+        row[draw(st.integers(1, 2))] = draw(_LABEL_TOKENS)
+    elif kind == "duplicate":
+        other = draw(st.sampled_from([m for m in range(2, len(lines) + 1) if m != k]))
+        row[0] = lines[other - 1].split(",")[0]
+        n = max(k, other)
+    else:
+        row.insert(draw(st.integers(0, 3)), draw(_LABEL_TOKENS))
+    lines[k - 1] = ",".join(row)
+    return lines, n
+
+
+class TestLabelsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=label_mutations(LABEL_LINES))
+    @example(case=([*LABEL_LINES[:2], ",unsafe,uncertain", *LABEL_LINES[3:]], 3))
+    def test_one_mutation_gives_valid_labels_or_names_the_line(self, case):
+        lines, n = case
+        try:
+            labels = parse_labels(io.StringIO("\n".join(lines) + "\n"))
+        except ValueError as exc:
+            assert str(exc).startswith(f"line {n}: ")
+            return
+        assert list(labels) == ["a", "b", "c", "d"]
+        for fid, lab in labels.items():
+            assert lab.flight_id == fid
+            assert lab.safety in SAFETY_LABELS and lab.certainty in CERTAINTY_LABELS
 
 
 class TestColumnarLog:

@@ -427,6 +427,13 @@ class TestWindowsCsv:
             parse_window_row(row[:8] + ["1", "x", "3", "4"], 4)
         with pytest.raises(ValueError, match="^empty flight_id$"):
             parse_window_row([""] + row[1:], 4)
+        for win_dist, min_dist in (("nan", "inf"), ("inf", "nan"), ("-1.0", "0.0"),
+                                   ("2.0", "-inf"), ("-0.5", "nan")):
+            with pytest.raises(ValueError, match=r"^win_dist_m and min_dist_m must be >= 0, "
+                                                 rf"got {win_dist} and {min_dist}$"):
+                parse_window_row(row[:4] + [win_dist, min_dist] + row[6:], 4)
+        win = parse_window_row(row[:4] + ["0.0", "-0.0"] + row[6:], 4)
+        assert (win.win_dist, win.min_dist) == (0.0, 0.0)
         assert parse_window_row(row, 4, window_length=5.0 + 5e-10).end == 5.0
         with pytest.raises(ValueError, match=r"^window spans 5.0 s, expected 2.5 s$"):
             parse_window_row(row, 4, window_length=2.5)
@@ -482,6 +489,7 @@ class TestWindowsCsvProperty:
     @settings(max_examples=300, deadline=None)
     @given(mutation=window_row_mutations())
     @example(mutation=(3, 0, ""))
+    @example(mutation=(4, 4, "nan"))
     def test_one_mutation_gives_valid_windows_or_names_the_line(self, mutation):
         lines = mutated_lines(_window_lines(), mutation)
         try:
@@ -493,6 +501,7 @@ class TestWindowsCsvProperty:
         for w in windows:
             assert w.flight_id and type(w.index) is int and w.values.shape == (25,)
             assert math.isfinite(w.start) and abs(w.end - w.start - 5.0) <= _EPS
+            assert w.win_dist >= 0 and w.min_dist >= 0
 
 
 def _two_flights(config):
@@ -557,3 +566,10 @@ class TestConfig:
         assert PreprocessConfig().window_samples == 25
         assert PreprocessConfig(sample_rate=4.0, window_length=2.0, overlap=1.0) \
             .window_samples == 8
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate", math.inf), ("sample_rate", math.nan), ("window_length", math.inf),
+        ("nominal_distance", math.nan), ("nominal_lookahead", math.nan)])
+    def test_value_that_is_not_a_number_in_range_is_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            PreprocessConfig(**{field: value})

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ class TestGenerate:
     def test_unknown_class(self):
         with pytest.raises(ValueError, match="unknown"):
             generate(SynthConfig(), {"chaotic": 1})
+
+    @pytest.mark.parametrize("field, value", [
+        ("flight_duration", math.nan), ("flight_duration", math.inf), ("sample_rate", math.nan),
+        ("sample_rate", math.inf), ("noise_std", math.nan), ("noise_std", math.inf)])
+    def test_value_that_is_not_a_finite_number_in_range_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            SynthConfig(**{field: value})
 
     def test_negative_count(self):
         with pytest.raises(ValueError):
