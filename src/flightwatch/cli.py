@@ -333,8 +333,12 @@ def cmd_evaluate(args) -> dict:
 
 def cmd_fitness(args) -> dict:
     obstacles = parse_obstacles(args.obstacles)
-    trajs = [trajectory_from_log(parse_flight_log(path, flight_id=path.stem))
-             for path in _sorted_logs(args.logs)]
+    trajs = []
+    for path in _sorted_logs(args.logs):
+        try:
+            trajs.append(trajectory_from_log(parse_flight_log(path, flight_id=path.stem)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     comps = fitness_components(trajs, obstacles, max_dtw=args.max_dtw,
                                resample_n=args.resample_n)
     print(f"fitness={comps['fitness']!r} (sum_dist={comps['sum_dist']!r}, "

@@ -175,33 +175,26 @@ def _csv_rows(stream, header: tuple[str, ...]):
 _LOG_HEADER_LINE = ",".join(LOG_HEADER) + "\n"
 # a log channel name is at most 8 characters; a longer token is reported by line
 _MAX_CHANNEL_TOKEN = 64
+# one character wider than any channel name, so no longer token is cut to one
+_PLAIN_DTYPE = np.dtype([(n, "U9" if n == "channel" else t) for n, t in RECORD_DTYPE.descr])
+# read differently by np.loadtxt and csv: a quote, CR, NUL, and the ASCII
+# separators that loadtxt strips from a number and float() does not
+_ROW_READER_ONLY = ('"', "\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _plain_log_columns(lines: list[str]) -> list[list[str]] | None:
-    """The six columns of a log of plain rows, split without the csv module,
-    else None.  Its header line is exactly :data:`LOG_HEADER`, and every other
-    line is blank or six fields with no quote, CR or NUL, no longer than the
-    csv field size limit, and a channel token of at most 64 characters.  The
-    csv module reads such a log into the same tokens."""
+def _plain_log_records(lines: list[str]) -> np.ndarray | None:
+    """The records of a log of plain rows, read by ``np.loadtxt``, else None:
+    the header line is exactly :data:`LOG_HEADER`, and the body is not blank,
+    holds none of ``_ROW_READER_ONLY`` and no line over the csv field size
+    limit.  The channel field stays unstripped, so a padded token fails
+    validation and is left to the row reader, which strips it."""
     if not lines or lines[0] != _LOG_HEADER_LINE:
         return None
     body = "".join(lines[1:])
-    if '"' in body or "\r" in body or "\x00" in body:
+    if (not body or body.isspace() or any(c in body for c in _ROW_READER_ONLY)
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
-    rows = list(filter(None, body.split("\n")))  # csv skips blank lines
-    if (not rows or max(map(len, rows)) > csv.field_size_limit()
-            or set(map(str.count, rows, itertools.repeat(","))) != {len(LOG_HEADER) - 1}):
-        return None
-    tokens = ",".join(rows).split(",")
-    columns = [tokens[k::len(LOG_HEADER)] for k in range(len(LOG_HEADER))]
-    if max(map(len, columns[1])) > _MAX_CHANNEL_TOKEN:
-        return None
-    return columns
-
-
-def _log_records(ts, channel, x, y, z, r) -> np.ndarray:
-    channel = np.char.strip(np.array(channel, dtype=str))
-    return np.rec.fromarrays([ts, channel, x, y, z, r], names=RECORD_DTYPE.names)
+    return np.loadtxt(lines[1:], dtype=_PLAIN_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
 def _parse_rows(lines, *, flight_id: str) -> FlightLog:
@@ -225,8 +218,10 @@ def _parse_rows(lines, *, flight_id: str) -> FlightLog:
                               if len(row[1]) > _MAX_CHANNEL_TOKEN)
         raise ValidationError(f"line {line_no}: unknown channel "
                               f"{token[:_MAX_CHANNEL_TOKEN]!r}... (too long)")
+    channel = np.char.strip(np.array(columns[1], dtype=str))
+    records = np.rec.fromarrays([ts, channel, x, y, z, r], names=RECORD_DTYPE.names)
     try:
-        return FlightLog(flight_id=flight_id, records=_log_records(ts, columns[1], x, y, z, r))
+        return FlightLog(flight_id=flight_id, records=records)
     except _RecordError as exc:
         raise ValidationError(f"line {numbered[exc.index][0]}: {exc.reason}") from None
 
@@ -238,19 +233,17 @@ def parse_flight_log(source, *, flight_id: str) -> FlightLog:
     for invariant violations such as out-of-range headings, non-monotone
     timestamps, or an empty safe channel; both name the file line at fault.
 
-    A log of plain rows is converted a whole column at a time; any other log,
-    and any that then fails, goes row by row through :func:`_parse_rows`.
+    A log of plain rows is read whole by ``np.loadtxt``; any other log, and
+    any that then fails, goes row by row through :func:`_parse_rows`.
     """
     with open_text(source) as stream:
         lines = list(stream)
-    columns = _plain_log_columns(lines)
-    if columns is not None:
-        try:
-            ts, x, y, z, r = (np.array(columns[k], dtype=float) for k in (0, 2, 3, 4, 5))
-            return FlightLog(flight_id=flight_id,
-                             records=_log_records(ts, columns[1], x, y, z, r))
-        except ValueError:
-            pass  # the row reader below names the line at fault
+    try:
+        records = _plain_log_records(lines)
+        if records is not None:
+            return FlightLog(flight_id=flight_id, records=records)
+    except ValueError:
+        pass  # the row reader below names the line at fault
     return _parse_rows(lines, flight_id=flight_id)
 
 

@@ -49,7 +49,7 @@ def trajectory_from_log(log: FlightLog) -> Trajectory:
     """Build a Trajectory from a flight log's position channel."""
     pos = log.channel("position")
     if len(pos) < 2:
-        raise ValueError(f"flight {log.flight_id!r}: position channel has fewer than 2 records")
+        raise ValueError("position channel has fewer than 2 records")
     return Trajectory(pos["timestamp"], np.column_stack([pos["x"], pos["y"], pos["z"]]))
 
 

@@ -206,7 +206,7 @@ def preprocess_flight(log: FlightLog, config: PreprocessConfig, *,
     """
     safe = log.channel("safe")
     if safe.size < 2:
-        raise ValueError(f"flight {log.flight_id!r}: safe channel has fewer than 2 records")
+        raise ValueError("safe channel has fewer than 2 records")
     grid, headings = resample_uniform(safe["timestamp"], unwrap_heading(safe["r"]),
                                       config.sample_rate)
     trace = None

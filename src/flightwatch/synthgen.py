@@ -48,6 +48,8 @@ class SynthConfig:
     def __post_init__(self):
         if not (0 < self.flight_duration < math.inf and 0 < self.sample_rate < math.inf):
             raise ValueError("flight_duration and sample_rate must be finite and > 0")
+        if round(self.flight_duration * self.sample_rate) < 1:
+            raise ValueError("flight_duration * sample_rate must give at least 2 samples")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError("noise_std must be finite and >= 0")
 

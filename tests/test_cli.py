@@ -89,6 +89,13 @@ class TestSynth:
         assert capsys.readouterr().err == (
             "error: bad --counts '1,2,three,4', expected 4 integers\n")
 
+    def test_flight_of_fewer_than_two_samples_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("synth", "--counts", "1,0,0,0", "--duration", "0.001", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: flight_duration * sample_rate must give at least 2 samples\n")
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run("synth", "--counts", "2,1,0,0", "--duration", "80", "--seed", "3", "--out", a)
@@ -125,6 +132,14 @@ class TestPreprocess:
                    "--labels", held / "labels.csv", "--out", out) == 0
         windows = read_windows_csv(out / "windows.csv")
         assert all(w.safety in ("safe", "unsafe") for w in windows)
+
+    def test_one_record_log_names_the_flight_once(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "a.csv").write_text("timestamp_s,channel,x,y,z,r_deg\n0.0,safe,0,0,0,0\n")
+        run("preprocess", "--logs", logs, "--out", tmp_path / "pre")
+        assert capsys.readouterr().err == (
+            "error: flight a: safe channel has fewer than 2 records\n")
 
     def test_bad_flight_continues_with_exit_1(self, synth_dirs, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -659,6 +674,24 @@ class TestEvaluateAndFitness:
         assert doc["fitness"] == doc["sum_dist"]
         assert doc["max_dtw"] == 65.0
 
+    @pytest.mark.parametrize("body, reason", [
+        ("0.0,safe,1.5.0,0,0,0\n", "line 2: cannot parse x='1.5.0' as a number"),
+        ("0.0,safe,0,0,0,0\n0.0,position,0,0,0,0\n",
+         "position channel has fewer than 2 records")])
+    def test_fitness_names_the_log_at_fault(self, synth_dirs, tmp_path, capsys, body, reason):
+        held = synth_dirs["held"]
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        src = sorted((held / "logs").glob("*.csv"))[0]
+        (logs / src.name).write_text(src.read_text())
+        bad = logs / "zz-bad.csv"
+        bad.write_text("timestamp_s,channel,x,y,z,r_deg\n" + body)
+        out = tmp_path / "fit"
+        assert run("fitness", "--logs", logs, "--obstacles", held / "obstacles.json",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not out.exists()
+
     def test_fitness_multiple_executions(self, synth_dirs, tmp_path):
         held = synth_dirs["held"]
         out = tmp_path / "fit"
@@ -955,7 +988,7 @@ class TestExitStatus:
                    "--out", tmp_path / "fit") == 2
         assert not (tmp_path / "fit").exists()
         assert capsys.readouterr().err.startswith(
-            "error: line 2: field larger than field limit")
+            f"error: {logs / 'f.csv'}: line 2: field larger than field limit")
 
     def test_rejected_run_keeps_existing_out(self, tmp_path):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -489,6 +490,8 @@ _TEXT_FAULTS = {
     "nul": lambda line, k: _with_field(line, k, lambda f: f + "\x00"),
     "underscore digits": lambda line, k: _with_field(line, k, lambda f: "1_0"),
     "non-ascii digit": lambda line, k: _with_field(line, k, lambda f: "\u0661"),
+    # loadtxt strips these from a number, float() does not
+    "ascii separator": lambda line, k: _with_field(line, k, lambda f: f + "\x1f"),
 }
 
 
@@ -512,16 +515,35 @@ def _logs_with_text_faults(draw):
     return text, "\n".join(lines) + "\n"
 
 
+_CLEAN_LOG = HEADER + "0.0,safe,1,2,3,4\n0.0,position,5,6,7,8\n0.2,safe,1,2,3,5\n"
+
+
+def _case(body: str):
+    return _CLEAN_LOG, HEADER + body
+
+
 class TestParseMatchesRowReader:
-    """The whole-body parse gives what the csv row reader gives, bit for bit,
+    """The loadtxt parse gives what the csv row reader gives, bit for bit,
     or raises what it raises."""
 
     @settings(max_examples=300, deadline=None)
     @given(_logs_with_text_faults())
+    # loadtxt keeps the channel field unstripped: "safe     x" cut to 9
+    # characters must not strip to "safe", and " safe" is read as "safe"
+    @example(_case("0.0,safe     x,1,2,3,4\n"))
+    @example(_case("0.0, safe,1,2,3,4\n"))
+    @example(_case("0.0,safe,0,0,0,0\n0.0,positional,0,0,0,0\n"))
+    # float() reads these, loadtxt does not
+    @example(_case("0.0,safe,1_0,2,3,4\n"))
+    @example(_case("0.0,safe,\u0661,2,3,4\n"))
+    # loadtxt reads this, float() does not
+    @example(_case("0.0,safe,1\x1c,2,3,4\n"))
+    @example(_case(""))
+    @example(_case("\n \n\n"))
     def test_same_records_or_same_error(self, case):
         clean, text = case
-        # the clean log takes the whole-body path, so the comparison tests it
-        assert flightdata._plain_log_columns(clean.splitlines(keepends=True)) is not None
+        # the clean log takes the loadtxt path, so the comparison tests it
+        assert flightdata._plain_log_records(clean.splitlines(keepends=True)) is not None
         parse = lambda t: parse_flight_log(io.StringIO(t), flight_id="f")  # noqa: E731
         assert _outcome(parse, text) == _outcome(_row_reader, text)
 
@@ -534,6 +556,27 @@ class TestParseMatchesRowReader:
     def test_quoted_fields_are_read_as_csv(self):
         log = _parse('0.0,"safe",1,2,3,"4"\n')
         assert log.records.tolist() == [(0.0, "safe", 1.0, 2.0, 3.0, 4.0)]
+
+    def test_one_row_log_is_one_record(self):
+        records = flightdata._plain_log_records([HEADER, "0.0,safe,1,2,3,4\n"])
+        assert records.shape == (1,)
+        assert _parse("0.0,safe,1,2,3,4").records.tolist() == [(0.0, "safe", 1.0, 2.0, 3.0, 4.0)]
+
+    # loadtxt warns on a body with no data
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_blank_body_is_left_to_the_row_reader(self, body):
+        assert flightdata._plain_log_records([HEADER, body]) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^safe channel is empty"):
+                _parse(body)
+
+    def test_loadtxt_path_warns_nothing(self):
+        lines = (HEADER + "\n0.0,safe,1,2,3,4\n\n0.1,safe,1e500,2,3,4\n").splitlines(True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = flightdata._plain_log_records(lines)
+        assert records["x"].tolist() == [1.0, math.inf]
 
 
 class _OneWayStream(io.StringIO):

@@ -56,6 +56,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="must be finite"):
             SynthConfig(**{field: value})
 
+    # a flight has round(duration * rate) + 1 samples
+    @pytest.mark.parametrize("duration, samples", [(0.001, 1), (0.1, 1), (0.2, 2), (0.4, 3)])
+    def test_flight_needs_two_samples(self, duration, samples):
+        if samples < 2:
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                SynthConfig(flight_duration=duration)
+        else:
+            flight = generate(SynthConfig(flight_duration=duration), {"certain_safe": 1}).flights[0]
+            assert flight.log.channel("safe").size == samples
+
     def test_negative_count(self):
         with pytest.raises(ValueError):
             generate(SynthConfig(), {"certain_safe": -1})
