@@ -151,11 +151,13 @@ class Conv1d:
         y += self.b[:, None]
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Leave ``dw`` and ``db`` on the layer; return the input gradient,
+        or None without computing it when ``need_dx`` is false."""
         flat, length = self._cache
         self.dw = (dy.reshape(self.out_channels, -1) @ flat.T).reshape(self.w.shape)
         self.db = dy.sum(axis=(1, 2))
-        return self._correlate_adjoint(dy, length)
+        return self._correlate_adjoint(dy, length) if need_dx else None
 
 
 class ConvTranspose1d(Conv1d):
@@ -286,8 +288,9 @@ class Crop:
         return x[:, :, :self.target]
 
     def backward(self, dy):
-        pad = self._full - dy.shape[1]
-        return np.pad(dy, ((0, 0), (0, pad), (0, 0)))
+        dx = np.zeros((dy.shape[0], self._full, dy.shape[2]), dtype=dy.dtype)
+        dx[:, :self.target] = dy
+        return dx
 
 
 # The weighted layers, encoder first, in the order their weights are drawn:
@@ -390,8 +393,9 @@ class AutoencoderModel:
         loss = float(np.mean(diff * diff))
         grad = (2.0 / diff.size) * diff
         h = np.ascontiguousarray(grad.T)[None, :, :]
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             h = layer.backward(h)
+        self.layers[0].backward(h, need_dx=False)  # the input gradient has no use
         return loss
 
     def reconstruction_losses(self, windows) -> np.ndarray:
@@ -447,18 +451,25 @@ class _Adam:
         self.learning_rate = config.learning_rate
         self.layers = [layer for _, layer in model.weighted_layers()]
         self.theta = np.concatenate([p.ravel() for _, p in model.parameters()]).astype(np.float32)
+        # each parameter's span of theta, in the order of model.gradients()
+        self.spans = []
         offset = 0
         for layer in self.layers:
             for name in ("w", "b"):
                 p = getattr(layer, name)
-                setattr(layer, name, self.theta[offset:offset + p.size].reshape(p.shape))
+                span = slice(offset, offset + p.size)
+                setattr(layer, name, self.theta[span].reshape(p.shape))
+                self.spans.append(span)
                 offset += p.size
+        self.g = np.empty_like(self.theta)
         self.m = np.zeros_like(self.theta)
         self.v = np.zeros_like(self.theta)
         self.t = 0
 
     def step(self, model: AutoencoderModel) -> None:
-        g = np.concatenate([d.ravel() for _, d in model.gradients()])
+        g = self.g
+        for span, (_, d) in zip(self.spans, model.gradients()):
+            g[span] = d.ravel()
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

@@ -197,6 +197,11 @@ def _plain_log_records(lines: list[str]) -> np.ndarray | None:
     return np.loadtxt(lines[1:], dtype=_PLAIN_DTYPE, delimiter=",", comments=None, ndmin=1)
 
 
+def _line_error(line_no: int, exc: _RecordError) -> ValidationError:
+    """The error naming the file line of the record :class:`FlightLog` rejected."""
+    return ValidationError(f"line {line_no}: {exc.reason}")
+
+
 def _parse_rows(lines, *, flight_id: str) -> FlightLog:
     """:func:`parse_flight_log` row by row through the csv module; its errors
     name the file line at fault."""
@@ -223,7 +228,7 @@ def _parse_rows(lines, *, flight_id: str) -> FlightLog:
     try:
         return FlightLog(flight_id=flight_id, records=records)
     except _RecordError as exc:
-        raise ValidationError(f"line {numbered[exc.index][0]}: {exc.reason}") from None
+        raise _line_error(numbered[exc.index][0], exc) from None
 
 
 def parse_flight_log(source, *, flight_id: str) -> FlightLog:
@@ -234,16 +239,27 @@ def parse_flight_log(source, *, flight_id: str) -> FlightLog:
     timestamps, or an empty safe channel; both name the file line at fault.
 
     A log of plain rows is read whole by ``np.loadtxt``; any other log, and
-    any that then fails, goes row by row through :func:`_parse_rows`.
+    any that loadtxt refuses, goes row by row through :func:`_parse_rows`.
+    A plain log whose values fail validation is named from its own lines,
+    unless a channel token is unknown: the row reader strips those, and may
+    read them differently.
     """
     with open_text(source) as stream:
         lines = list(stream)
     try:
         records = _plain_log_records(lines)
-        if records is not None:
-            return FlightLog(flight_id=flight_id, records=records)
     except ValueError:
-        pass  # the row reader below names the line at fault
+        records = None  # the row reader below names the line at fault
+    if records is not None:
+        try:
+            return FlightLog(flight_id=flight_id, records=records)
+        except _RecordError as exc:
+            if np.isin(records["channel"], CHANNELS).all():
+                # loadtxt skips the body lines that are exactly "\n", and
+                # reads every other line as one record
+                numbers = (n for n, line in enumerate(lines[1:], start=2) if line != "\n")
+                raise _line_error(next(itertools.islice(numbers, exc.index, None)),
+                                  exc) from None
     return _parse_rows(lines, flight_id=flight_id)
 
 

@@ -170,39 +170,52 @@ def sum_dist(traj, obstacles: Sequence[ObstacleBox]) -> float:
     return float(total.min())
 
 
-def dtw(a, b) -> float:
-    """Dynamic time warping cost between two 3D point sequences.
+def dtw(a, b):
+    """Dynamic time warping cost between 3D point sequences.
 
-    Classic unconstrained DP with Euclidean local cost and total accumulated
-    cost (no path-length normalization).  The sweep runs over anti-diagonals
-    (the wavefront form of the recurrence): each cell is its cost plus the
-    minimum of its three neighbours, as in the textbook recurrence, so results
-    match exhaustive warping-path enumeration exactly.  Costs are stored
-    diagonal-major, so each anti-diagonal is one contiguous row.
+    ``a`` is one (n, 3) sequence, giving a float, or a (k, n, 3) stack of k
+    sequences, giving an array of k costs, each that of its sequence alone
+    against ``b``.  Classic unconstrained DP with Euclidean local cost and
+    total accumulated cost (no path-length normalization).  The sweep runs
+    over anti-diagonals (the wavefront form of the recurrence): each cell is
+    its cost plus the minimum of its three neighbours, as in the textbook
+    recurrence, so results match exhaustive warping-path enumeration exactly.
+    The sequences of a stack share one sweep, so each step's three array
+    operations serve all of them.
     """
-    pa = _as_points(a)
+    stack = np.asarray(a.points if isinstance(a, Trajectory) else a, dtype=float)
+    single = stack.ndim != 3
+    if single:
+        stack = _as_points(stack)[None]
+    elif stack.shape[2] != 3:
+        raise ValueError(f"expected a (k, n, 3) stack of point arrays, got shape {stack.shape}")
     pb = _as_points(b)
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
+    (k, n, _), m = stack.shape, len(pb)
+    if k == 0 or n == 0 or m == 0:
         raise ValueError("dtw requires non-empty sequences")
-    n, m = pa.shape[0], pb.shape[0]
-    # squared distances summed as (dx² + dy²) + dz², the order in which
-    # np.sum(diff * diff, axis=2) adds them, one coordinate at a time
-    sq = np.zeros((n, m))
-    for k in range(3):
-        delta = pa[:, k, None] - pb[None, :, k]
-        delta *= delta
-        sq += delta
-    # skew[i + j, i] is the cost of pairing a[i] with b[j]; the strides keep
-    # every write of this view inside skew
-    skew = np.empty((n + m - 1, n))
-    cells = np.lib.stride_tricks.as_strided(
-        skew, shape=(n, m), strides=((n + 1) * skew.itemsize, n * skew.itemsize))
-    np.sqrt(sq, out=cells)
+    # cost[i, j, e] pairs stack[e, i] with b[j]; squared distances are summed
+    # as (dx² + dy²) + dz², the order in which np.sum(diff * diff, axis=2)
+    # adds them, one coordinate at a time
+    cost = np.empty((n, m, k))
+    for e in range(k):
+        sq = np.zeros((n, m))
+        for c in range(3):
+            delta = stack[e, :, c, None] - pb[None, :, c]
+            delta *= delta
+            sq += delta
+        np.sqrt(sq, out=cost[:, :, e])
+    # skew[d, i] is cost[i, d - i], read only where 0 <= d - i < m; every
+    # element of this view lies inside cost
+    step = cost.itemsize * k
+    skew = np.lib.stride_tricks.as_strided(
+        cost, shape=(n + m - 1, n, k), strides=(step, (m - 1) * step, cost.itemsize),
+        writeable=False)
     # accumulated costs of anti-diagonals d-2, d-1 and d of the (n+1, m+1)
-    # table, indexed by i; border cells are inf except (0, 0) = 0, so the
-    # only cell of d = 2, (1, 1), holds its own cost.  A buffer reused for d
-    # keeps stale values only below max(1, d - m), where no later read falls.
-    prev2, prev1, cur = np.full((3, n + 1), np.inf)
+    # table, indexed by i, one column per sequence; border cells are inf
+    # except (0, 0) = 0, so the only cell of d = 2, (1, 1), holds its own
+    # cost.  A buffer reused for d keeps stale values only below max(1, d - m),
+    # where no later read falls.
+    prev2, prev1, cur = np.full((3, n + 1, k), np.inf)
     prev1[1] = skew[0, 0]
     for d in range(3, n + m + 1):
         lo, hi = max(1, d - m), min(n, d - 1)
@@ -211,7 +224,7 @@ def dtw(a, b) -> float:
         np.minimum(best, prev2[lo - 1:hi], out=best)  # diagonal
         np.add(skew[d - 2, lo - 1:hi], best, out=best)
         prev2, prev1, cur = prev1, cur, prev2
-    return float(prev1[n])
+    return float(prev1[n, 0]) if single else prev1[n].copy()
 
 
 def resample_by_arclength(points, n: int) -> np.ndarray:
@@ -254,9 +267,10 @@ def fitness_components(trajs: Sequence, obstacles: Sequence[ObstacleBox], *,
         raise ValueError("fitness needs at least one trajectory")
     # executions are compared on the same arc-length grid the average lives on,
     # so identical executions give ave_dtw == 0
-    resampled = [resample_by_arclength(t, resample_n) for t in trajs]
-    ave = np.mean(np.stack(resampled), axis=0)
-    ave_dtw = sum(dtw(t, ave) for t in resampled) / len(resampled)
+    resampled = np.stack([resample_by_arclength(t, resample_n) for t in trajs])
+    ave = np.mean(resampled, axis=0)
+    # the float additions of summing each execution's dtw in turn
+    ave_dtw = sum(dtw(resampled, ave).tolist()) / len(resampled)
     sd = sum_dist(ave, obstacles)
     fitness = sd - ave_dtw if ave_dtw > max_dtw else sd
     return {"sum_dist": sd, "ave_dtw": ave_dtw, "max_dtw": max_dtw,

@@ -15,6 +15,7 @@ from flightwatch.autoenc import (
     AutoencoderModel,
     Conv1d,
     ConvTranspose1d,
+    Crop,
     Dropout,
     TrainConfig,
     _Adam,
@@ -240,6 +241,43 @@ class TestGradients:
                 flat[i] = orig
                 num = (lp - lm) / (2 * h)
                 assert num == pytest.approx(dx.reshape(-1)[i], abs=1e-6, rel=1e-5)
+
+
+class TestBackwardTrims:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_crop_backward_is_np_pad(self, dtype):
+        crop = Crop(25)
+        dy = np.random.default_rng(1).normal(size=(1, 25, 7)).astype(dtype)
+        crop.forward(np.zeros((1, 28, 7), dtype=dtype))
+        dx = crop.backward(dy)
+        expected = np.pad(dy, ((0, 0), (0, 3), (0, 0)))
+        assert dx.dtype == expected.dtype and dx.tobytes() == expected.tobytes()
+
+    def test_first_layer_without_dx_gives_the_full_backward_weight_gradients(self):
+        rng = np.random.default_rng(8)
+        layer = Conv1d(1, 32, 3, 2, rng)
+        x = rng.normal(size=(1, 25, 5)).astype(np.float32)
+        dy = rng.normal(size=layer.forward(x).shape).astype(np.float32)
+        assert layer.backward(dy.copy()) is not None
+        dw, db = layer.dw, layer.db
+        assert layer.backward(dy.copy(), need_dx=False) is None
+        assert layer.dw.tobytes() == dw.tobytes() and layer.db.tobytes() == db.tobytes()
+
+    def test_adam_step_is_the_concatenated_gradient_update(self):
+        model = AutoencoderModel(input_length=25, seed=5)
+        config = TrainConfig()
+        adam = _Adam(model, config)
+        x = np.random.default_rng(9).normal(size=(6, 25)).astype(np.float32)
+        for _ in range(2):
+            model.loss_and_grads(x, train=True, rng=np.random.default_rng(2))
+            g = np.concatenate([d.ravel() for _, d in model.gradients()])
+            m = adam.m * adam.beta1 + (1.0 - adam.beta1) * g
+            v = adam.v * adam.beta2 + (1.0 - adam.beta2) * (g * g)
+            t = adam.t + 1
+            theta = adam.theta - config.learning_rate * (m / (1.0 - adam.beta1 ** t)) / (
+                np.sqrt(v / (1.0 - adam.beta2 ** t)) + adam.epsilon)
+            adam.step(model)
+            assert adam.theta.tobytes() == theta.tobytes()
 
 
 class TestAdjoint:

@@ -186,6 +186,7 @@ class TestObstacleProperty:
     @example(case=([{**OBSTACLE_BOX, "cx": math.nan}], 0))
     @example(case=([{**OBSTACLE_BOX, "cx": "3"}], 0))
     @example(case=([{**OBSTACLE_BOX, "length": True}], 0))
+    @example(case=([{**OBSTACLE_BOX, "cx": 2**53 + 1}], 0))  # no float holds it
     def test_one_mutation_gives_valid_boxes_or_names_the_obstacle(self, case):
         boxes, i = case
         try:
@@ -197,10 +198,12 @@ class TestObstacleProperty:
         for box, doc in zip(parsed, boxes):
             assert all(math.isfinite(v) for v in vars(box).values())
             assert min(box.length, box.width, box.height) > 0
-            # each field is the document's JSON number (rotation 0 when absent)
+            # each field is the float nearest the document's JSON number
+            # (rotation 0 when absent), as json reads any number literal
             for key, value in vars(box).items():
                 given = doc.get(key, 0.0)
-                assert type(given) in (int, float) and value == given
+                assert type(given) in (int, float)
+                assert type(value) is float and value == float(given)
 
 
 class TestLabels:
@@ -492,6 +495,14 @@ _TEXT_FAULTS = {
     "non-ascii digit": lambda line, k: _with_field(line, k, lambda f: "\u0661"),
     # loadtxt strips these from a number, float() does not
     "ascii separator": lambda line, k: _with_field(line, k, lambda f: f + "\x1f"),
+    # plain text whose values fail validation
+    "heading out of range": lambda line, k: _with_field(line, 5, lambda f: "180.5"),
+    "timestamp goes back": lambda line, k: _with_field(line, 0, lambda f: "0"),
+    "negative timestamp": lambda line, k: _with_field(line, 0, lambda f: "-1"),
+    "nan value": lambda line, k: _with_field(line, k, lambda f: "nan"),
+    "inf value": lambda line, k: _with_field(line, k, lambda f: "-inf"),
+    "unknown channel": lambda line, k: _with_field(line, 1, lambda f: "gps"),
+    "padded channel": lambda line, k: _with_field(line, 1, lambda f: " safe"),
 }
 
 
@@ -540,12 +551,31 @@ class TestParseMatchesRowReader:
     @example(_case("0.0,safe,1\x1c,2,3,4\n"))
     @example(_case(""))
     @example(_case("\n \n\n"))
+    # a value fault is named by its line, blank lines counted; a later
+    # channel token too long for the row reader is its error instead
+    @example(_case("0.0,safe,1,2,3,4\n\n\n0.1,safe,1,2,3,200\n"))
+    @example(_case("0.0,safe,1,2,3,200\n0.1," + "x" * 70 + ",1,2,3,4\n"))
     def test_same_records_or_same_error(self, case):
         clean, text = case
         # the clean log takes the loadtxt path, so the comparison tests it
         assert flightdata._plain_log_records(clean.splitlines(keepends=True)) is not None
         parse = lambda t: parse_flight_log(io.StringIO(t), flight_id="f")  # noqa: E731
         assert _outcome(parse, text) == _outcome(_row_reader, text)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0.0,safe,1,2,3,4\n\n0.1,safe,1,2,3,200\n", "line 4: heading r=200.0 outside"),
+        ("0.5,safe,1,2,3,4\n0.2,position,1,2,3,4\n0.1,safe,1,2,3,4\n",
+         "line 4: non-monotone timestamps on channel 'safe'"),
+        ("0.0,position,1,2,3,4\n", "safe channel is empty"),
+    ])
+    def test_value_fault_of_a_plain_log_is_named_without_the_row_reader(
+            self, monkeypatch, body, message):
+        def row_reader(lines, *, flight_id):
+            raise AssertionError("the log was read twice")
+
+        monkeypatch.setattr(flightdata, "_parse_rows", row_reader)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _parse(body)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_crlf_and_blank_lines_read_as_lf(self, ending):

@@ -248,6 +248,44 @@ class TestDtw:
             a, b = np.round(a), np.round(b)
         assert dtw(a, b) == dtw_antidiagonal(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 6), n=st.one_of(st.just(1), st.integers(1, 60)),
+           m=st.one_of(st.just(1), st.integers(1, 60)),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-3, 1.0, 50.0]),
+           rounded=st.booleans(), identical=st.booleans())
+    @example(k=1, n=1, m=1, seed=0, scale=1.0, rounded=False, identical=False)
+    @example(k=6, n=1, m=60, seed=1, scale=1.0, rounded=False, identical=False)
+    @example(k=6, n=60, m=1, seed=2, scale=1.0, rounded=False, identical=False)
+    @example(k=5, n=60, m=60, seed=3, scale=1.0, rounded=True, identical=True)
+    def test_stack_costs_are_each_sequence_alone_bit_for_bit(self, k, n, m, seed, scale,
+                                                              rounded, identical):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(scale=scale, size=(k, n, 3))
+        b = stack[0].copy() if identical and n == m else rng.normal(scale=scale, size=(m, 3))
+        if rounded:  # integer points tie many costs and zero some
+            stack, b = np.round(stack), np.round(b)
+        costs = dtw(stack, b)
+        assert costs.shape == (k,)
+        for seq, cost in zip(stack, costs.tolist()):
+            assert cost == dtw(seq, b) == dtw_antidiagonal(seq, b)
+
+    def test_one_sequence_gives_a_python_float(self):
+        a = np.zeros((3, 3))
+        assert type(dtw(a, a)) is float
+        assert type(dtw(_traj(a + np.arange(3)[:, None]), a)) is float
+        assert dtw(a[None], a).shape == (1,)
+
+    @pytest.mark.parametrize("stack", [np.empty((0, 4, 3)), np.empty((2, 0, 3))])
+    def test_empty_stack_is_error(self, stack):
+        with pytest.raises(ValueError, match="non-empty"):
+            dtw(stack, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-empty"):
+            dtw(np.zeros((2, 2, 3)), np.empty((0, 3)))
+
+    def test_stack_of_other_than_3d_points_is_error(self):
+        with pytest.raises(ValueError, match="stack"):
+            dtw(np.zeros((2, 4, 2)), np.zeros((2, 3)))
+
     def test_non_negative(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -331,6 +369,15 @@ class TestFitness:
             b = _line(np.linspace(-5, 5, 60), y=y + 0.2)
             values.append(fitness_components([a, b], [box])["fitness"])
         assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(values, values[1:]))
+
+    def test_ave_dtw_is_the_per_execution_sum_bit_for_bit(self):
+        box = self._setup()
+        rng = np.random.default_rng(11)
+        trajs = [_traj(np.cumsum(rng.normal(size=(30, 3)), axis=0)) for _ in range(5)]
+        resampled = [resample_by_arclength(t, 200) for t in trajs]
+        ave = np.mean(np.stack(resampled), axis=0)
+        expected = sum(dtw(t, ave) for t in resampled) / len(resampled)
+        assert fitness_components(trajs, [box])["ave_dtw"] == expected
 
     def test_param_validation(self):
         box = self._setup()
