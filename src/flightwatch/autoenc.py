@@ -11,11 +11,12 @@ is bit-reproducible given the seed: weight init, shuffle order, and the
 dropout stream all come from one generator.
 Training runs each layer's ``forward`` and ``backward`` on a batch-last
 (channels, length, batch) block, one product for the whole batch, and
-``forward`` keeps what ``backward`` reads.  Inference runs each layer's
-``infer`` on a batch-first (batch, channels, length) stack instead: one
+``forward`` keeps what ``backward`` reads in the layer's ``_cache``.
+Inference is one function, ``AutoencoderModel._infer``, which runs each
+layer's step on a batch-first (batch, channels, length) stack instead: one
 product per window, of the shape a single window gets, so a window's loss
 bits depend neither on the batch it is scored in nor on the BLAS thread
-count.  ``infer`` keeps nothing, so scoring leaves no array on any layer.
+count.  It clears every ``_cache``, so scoring leaves no array on any layer.
 
 Training runs in float32, which halves the bytes each step moves; the trained
 weights are handed back as float64, so scoring, calibration and the saved
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .flightdata import write_json
 from .preprocess import PreprocessConfig
 
 FORMAT_MAGIC = "flightwatch-model"
@@ -91,9 +93,8 @@ class Conv1d:
     """Same-padded strided 1D convolution (cross-correlation).
 
     ``forward`` takes a batch-last (channels, length, batch) block and runs
-    one matrix product for the whole batch; ``infer`` takes a batch-first
-    (batch, channels, length) stack and runs one per window.  ``w`` is
-    (short-side channels, long-side channels, k).
+    one matrix product for the whole batch.  ``w`` is (short-side channels,
+    long-side channels, k).
     """
 
     kind = "conv"
@@ -141,16 +142,6 @@ class Conv1d:
         self._cache = (flat, x.shape[1])
         return y
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Batch-first (n, c, length) to short, keeping nothing: one product
-        per window, the one a (c, length, 1) block gets in :meth:`forward`."""
-        self._cache = None  # no backward follows inference
-        out, taps = _taps(x.shape[2], self.stride, self.kernel_size)
-        cols = _gather(x, self.kernel_size, out, taps, 2).reshape(len(x), -1, out)
-        y = np.matmul(self.w.reshape(len(self.w), -1), cols)
-        y += self.b[:, None]
-        return y
-
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         """Leave ``dw`` and ``db`` on the layer; return the input gradient,
         or None without computing it when ``need_dx`` is false."""
@@ -184,16 +175,6 @@ class ConvTranspose1d(Conv1d):
         self._cache = x
         return y
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        self._cache = None
-        length = self.output_length(x.shape[2])
-        _, taps = _taps(length, self.stride, self.kernel_size)
-        cols = np.matmul(self.w.reshape(len(self.w), -1).T, x)
-        y = _scatter(cols.reshape(len(x), self.out_channels, self.kernel_size, -1),
-                     length, taps, 2)
-        y += self.b[:, None]
-        return y
-
     def backward(self, dy: np.ndarray) -> np.ndarray:
         flat, dx = self._correlate(dy)
         self.dw = (self._cache.reshape(self.in_channels, -1) @ flat.T).reshape(self.w.shape)
@@ -203,26 +184,19 @@ class ConvTranspose1d(Conv1d):
 
 class Relu:
     kind = "relu"
-
-    def __init__(self):
-        self._mask = None
+    _cache = None
 
     def output_length(self, length: int) -> int:
         return length
 
     def forward(self, x, train=False, rng=None):
         # x is this layer's own fresh buffer; rectify in place
-        self._mask = x > 0
-        np.maximum(x, 0.0, out=x)
-        return x
-
-    def infer(self, x):
-        self._mask = None
+        self._cache = x > 0
         np.maximum(x, 0.0, out=x)
         return x
 
     def backward(self, dy):
-        np.multiply(dy, self._mask, out=dy)
+        np.multiply(dy, self._cache, out=dy)
         return dy
 
 
@@ -237,31 +211,27 @@ class Dropout:
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self._mask = None
+        self._cache = None
 
     def output_length(self, length: int) -> int:
         return length
 
     def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        self._mask = rng.random(x.shape) >= self.rate
+        self._cache = rng.random(x.shape) >= self.rate
         return self._apply(x)
 
-    def infer(self, x):
-        self._mask = None
-        return x
-
     def backward(self, dy):
-        if self._mask is None:
+        if self._cache is None:
             return dy
         return self._apply(dy)
 
     def _apply(self, x):
-        np.multiply(x, self._mask, out=x)
+        np.multiply(x, self._cache, out=x)
         x *= 1.0 / (1.0 - self.rate)
         return x
 
@@ -273,7 +243,7 @@ class Crop:
 
     def __init__(self, target: int):
         self.target = target
-        self._full = None
+        self._cache = None
 
     def output_length(self, length: int) -> int:
         if length < self.target:
@@ -281,14 +251,11 @@ class Crop:
         return self.target
 
     def forward(self, x, train=False, rng=None):
-        self._full = x.shape[1]
+        self._cache = x.shape[1]
         return x[:, :self.target, :]
 
-    def infer(self, x):
-        return x[:, :, :self.target]
-
     def backward(self, dy):
-        dx = np.zeros((dy.shape[0], self._full, dy.shape[2]), dtype=dy.dtype)
+        dx = np.zeros((dy.shape[0], self._cache, dy.shape[2]), dtype=dy.dtype)
         dx[:, :self.target] = dy
         return dx
 
@@ -365,10 +332,30 @@ class AutoencoderModel:
         return lengths
 
     def _infer(self, x: np.ndarray) -> np.ndarray:
-        """Reconstruct an (n, W) matrix through every layer's ``infer``."""
+        """Reconstruct an (n, W) matrix, keeping nothing on any layer.  Each
+        layer runs on a batch-first (n, c, length) stack: one product per
+        window, the one a (c, length, 1) block gets in the layer's ``forward``."""
         h = x[:, None, :]
         for layer in self.layers:
-            h = layer.infer(h)
+            layer._cache = None  # no backward follows inference
+            # a step frees its columns before its input: glibc trims its heap by
+            # the order of frees, and the other order faulted 742 pages a 119-row call
+            match layer.kind:
+                case "conv":
+                    out, taps = _taps(h.shape[2], layer.stride, layer.kernel_size)
+                    h = np.matmul(layer.w.reshape(len(layer.w), -1), _gather(
+                        h, layer.kernel_size, out, taps, 2).reshape(len(h), -1, out))
+                    h += layer.b[:, None]
+                case "conv_transpose":
+                    length = layer.output_length(h.shape[2])
+                    _, taps = _taps(length, layer.stride, layer.kernel_size)
+                    h = _scatter(np.matmul(layer.w.reshape(len(layer.w), -1).T, h).reshape(
+                        len(h), layer.out_channels, layer.kernel_size, -1), length, taps, 2)
+                    h += layer.b[:, None]
+                case "relu":
+                    np.maximum(h, 0.0, out=h)
+                case "crop":
+                    h = h[:, :, :layer.target]
         return h[:, 0, :]
 
     def forward(self, values) -> np.ndarray:
@@ -608,8 +595,7 @@ def save_model(model: AutoencoderModel, path) -> None:
         doc = _model_doc(model)
     except ValueError as exc:
         raise ValueError(f"{path}: not saved ({exc})") from None
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    write_json(doc, path)
 
 
 def _difference(new, old, where: str = "") -> str | None:

@@ -6,8 +6,9 @@ numbers, also --seed.  ``main`` runs them all: given --out, it creates it and
 atomically writes a run manifest of the effective parameters, inputs, outputs
 and failures next to the outputs.  It exits 1 iff some items failed and the
 rest were processed (a flight, or a ``detect --stream`` row, reported on
-stderr and in the manifest's ``failures``), 2 on bad input (removing an
---out it created if that is still empty), else 0.
+stderr and in the manifest's ``failures``), 2 on bad input or when every
+flight of ``preprocess`` or ``detect`` failed (such a run writes nothing, so
+its reasons are on stderr only; an --out it created goes if still empty), else 0.
 A --config file is a flat JSON object keyed by flag name with underscores;
 its entries are parsed as the flags they name, right after the command:
 ``true`` is the bare flag, ``false`` and ``null`` none, another value ``v``
@@ -31,10 +32,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, autoenc, detector, evalstats, preprocess, synthgen
-from .flightdata import parse_flight_log, parse_labels, parse_obstacles
+from .flightdata import parse_flight_log, parse_labels, parse_obstacles, write_json
 from .geometry import fitness_components, trajectory_from_log
 
 MANIFEST_NAME = "run_manifest.json"
+
+
+class _EveryFlightFailed(Exception):
+    """No flight was processed; each one's reason is already on stderr."""
 
 
 def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> None:
@@ -56,7 +61,7 @@ def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> N
     }
     outdir = Path(args.out)
     tmp = outdir / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(doc, tmp, indent=2)
     tmp.replace(outdir / MANIFEST_NAME)
 
 
@@ -85,7 +90,8 @@ def _sorted_logs(logs_dir: str) -> list[Path]:
 def _per_flight(items, work) -> tuple[list, dict[str, str]]:
     """Run ``work(item)`` for each ``(flight_id, item)`` pair.  A flight that
     raises is reported on stderr and skipped; the rest still run.  Returns
-    the results of the flights that succeeded and ``{flight_id: reason}``."""
+    the results of the flights that succeeded and ``{flight_id: reason}``,
+    or raises :class:`_EveryFlightFailed` when there were flights and all failed."""
     results, failures = [], {}
     for fid, item in items:
         try:
@@ -93,6 +99,8 @@ def _per_flight(items, work) -> tuple[list, dict[str, str]]:
         except Exception as exc:  # noqa: BLE001 - per-flight isolation
             failures[fid] = str(exc)
             print(f"error: flight {fid}: {exc}", file=sys.stderr)
+    if failures and not results:
+        raise _EveryFlightFailed
     return results, failures
 
 
@@ -168,8 +176,7 @@ def cmd_calibrate(args) -> dict:
         writer.writerow(["bin_low", "bin_high", "count", "log10_count"])
         writer.writerows(calibration.pop("histogram"))  # None as "", a float as its repr
     calib_path = out / "calibration.json"
-    calib_path.write_text(json.dumps(calibration, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(calibration, calib_path, indent=2)
     outputs = [hist_path, calib_path]
     suggested = calibration["suggested_threshold"]
     theta = suggested if args.apply else args.set_threshold
@@ -229,7 +236,6 @@ def cmd_detect(args) -> dict:
         raise ValueError("one of --log, --logs, --windows, or --stream is required")
     out = Path(args.out)
     reports_dir = out / "reports"
-    reports_dir.mkdir(exist_ok=True)
     outputs = []
 
     def written(item):
@@ -239,6 +245,7 @@ def cmd_detect(args) -> dict:
         name = f"{doc['flight_id']}.json"
         if Path(name).name != name:  # a path that may lead out of reports_dir
             raise ValueError(f"flight id {doc['flight_id']!r} is not a plain file name")
+        reports_dir.mkdir(exist_ok=True)  # not before a flight succeeds
         detector.write_report(doc, reports_dir / name)
         outputs.append(reports_dir / name)
         return doc
@@ -347,8 +354,7 @@ def cmd_fitness(args) -> dict:
     outputs = []
     if args.out:
         fit_path = Path(args.out) / "fitness.json"
-        fit_path.write_text(json.dumps(comps, sort_keys=True, indent=2) + "\n",
-                            encoding="utf-8")
+        write_json(comps, fit_path, indent=2)
         outputs.append(fit_path)
     return {"inputs": [args.logs, args.obstacles], "outputs": outputs, "failures": {}}
 
@@ -492,14 +498,17 @@ def main(argv=None) -> int:
         result = args.func(args)
         if args.out:
             _write_manifest(args, result, started)
+    except _EveryFlightFailed:
+        pass
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for d in made_out:  # leave no empty output of a rejected run behind
-            if any(d.iterdir()):
-                break
-            d.rmdir()
-        return 2
-    return 1 if result["failures"] else 0
+    else:
+        return 1 if result["failures"] else 0
+    for d in made_out:  # leave no empty output of a rejected run behind
+        if any(d.iterdir()):
+            break
+        d.rmdir()
+    return 2
 
 
 if __name__ == "__main__":

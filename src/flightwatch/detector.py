@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .autoenc import AutoencoderModel
+from .flightdata import write_json
 from .geometry import DistanceTrace
 from .preprocess import HeadingWindow
 
@@ -218,8 +219,7 @@ def report_to_dict(report: DetectionReport) -> dict:
 
 
 def write_report(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    write_json(doc, path)
 
 
 def _report_fault(doc) -> str | None:

@@ -9,7 +9,6 @@ one decimal percentage point.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .flightdata import FlightLabels
+from .flightdata import FlightLabels, write_json
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,7 @@ def dataset_report(reports: Iterable[dict], labels: Mapping[str, FlightLabels],
 
 
 def write_evaluation_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                          encoding="utf-8")
+    write_json(doc, path)
 
 
 def _pct(x: float | None) -> str:

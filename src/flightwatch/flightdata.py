@@ -148,6 +148,14 @@ def open_text(source, mode: str = "r") -> ContextManager[IO[str]]:
     return nullcontext(source)
 
 
+def write_json(doc, path, *, indent: int | None = None, sort_keys: bool = True) -> None:
+    """Write ``doc`` as UTF-8 JSON and a newline: compact without ``indent``, else
+    indented by it; keys sorted unless ``sort_keys`` is false."""
+    separators = (",", ":") if indent is None else None
+    Path(path).write_text(json.dumps(doc, indent=indent, separators=separators,
+                                     sort_keys=sort_keys) + "\n", encoding="utf-8")
+
+
 def _csv_rows(stream, header: tuple[str, ...]):
     """(file line, row) for each non-empty row of a CSV with the given header,
     read from any iterable of lines; a row whose quoted field spans lines is
@@ -305,8 +313,7 @@ def parse_obstacles(source) -> list[ObstacleBox]:
 
 
 def write_obstacles(boxes: Iterable[ObstacleBox], path) -> None:
-    doc = [asdict(b) for b in boxes]
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json([asdict(b) for b in boxes], path, indent=2, sort_keys=False)
 
 
 def parse_labels(source) -> dict[str, FlightLabels]:

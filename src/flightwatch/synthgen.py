@@ -11,7 +11,6 @@ sample rate so resampling is the identity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .flightdata import (RECORD_DTYPE, FlightLabels, FlightLog, ObstacleBox,
-                         write_flight_log, write_labels, write_obstacles)
+                         write_flight_log, write_json, write_labels, write_obstacles)
 from .geometry import DistanceTrace
 
 CLASS_NAMES = ("certain_safe", "uncertain_safe", "uncertain_unsafe", "certain_unsafe")
@@ -279,8 +278,7 @@ def write_dataset(dataset: SyntheticDataset, outdir) -> dict[str, Path]:
         },
     }
     truth_path = outdir / "truth.json"
-    truth_path.write_text(json.dumps(truth, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    write_json(truth, truth_path, indent=2)
     return {"logs": logs_dir, "labels": outdir / "labels.csv",
             "obstacles": outdir / "obstacles.json", "distances": dist_dir,
             "truth": truth_path}

@@ -378,12 +378,25 @@ class TestInferenceKeepsNoState:
 _INVARIANCE_SEED = 16  # a model whose 2-D batch product changes bits at 4, 5 and 7 rows
 
 
+def _with_bad_rows(x):
+    """``x`` with ten more rows mixed in, three of them among its first seven: rows
+    of NaN, +inf, -inf, 1e308 and -1e308, each whole and in one sample."""
+    bad = []
+    for value in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+        row = x[0].copy()
+        row[7] = value
+        bad += [np.full(x.shape[1], value), row]
+    return np.insert(x, [1, 2, 3, 5, 64, 127, 128, 300, 777, len(x)], bad, axis=0)
+
+
 @pytest.fixture(scope="module")
 def one_row_scores():
-    """A model, 1,024 windows of ±20 degrees, and each window's loss scored on its own."""
+    """A model, 1,024 windows of ±20 degrees with the rows of :func:`_with_bad_rows`
+    among them, and each window's loss scored on its own."""
     model = AutoencoderModel(input_length=25, seed=_INVARIANCE_SEED)
-    x = np.random.default_rng(0).normal(scale=20.0, size=(1024, 25))
-    one = np.concatenate([model.reconstruction_losses(x[i:i + 1]) for i in range(len(x))])
+    x = _with_bad_rows(np.random.default_rng(0).normal(scale=20.0, size=(1024, 25)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = np.concatenate([model.reconstruction_losses(x[i:i + 1]) for i in range(len(x))])
     return model, x, one
 
 
@@ -391,7 +404,8 @@ def _score_in_batches(model, x, sizes):
     """Losses of ``x`` scored in consecutive batches whose sizes cycle through ``sizes``."""
     parts, lo, k = [], 0, 0
     while lo < len(x):
-        parts.append(model.reconstruction_losses(x[lo:lo + sizes[k % len(sizes)]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts.append(model.reconstruction_losses(x[lo:lo + sizes[k % len(sizes)]]))
         lo += sizes[k % len(sizes)]
         k += 1
     return np.concatenate(parts)
@@ -414,8 +428,10 @@ class TestBatchInvariance:
 
     def test_forward_of_a_batch_matches_forward_of_each_row(self, one_row_scores):
         model, x, _ = one_row_scores
-        batch = model.forward(x[:7])
-        assert batch.tobytes() == np.stack([model.forward(row) for row in x[:7]]).tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = model.forward(x[:7])
+            rows = np.stack([model.forward(row) for row in x[:7]])
+        assert batch.tobytes() == rows.tobytes()
 
     def test_loss_bits_do_not_depend_on_blas_threads(self):
         # BLAS reads its thread count once, at load, so each count needs a process

@@ -1084,6 +1084,64 @@ class TestExitStatus:
         assert not out.exists()
 
 
+_ONE_RECORD_ERRORS = "".join(f"error: flight {fid}: safe channel has fewer than 2 records\n"
+                             for fid in ("a", "b"))
+
+
+@pytest.fixture
+def one_record_logs(tmp_path):
+    """Two logs of one record each, which every command fails flight by flight."""
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    for fid in ("a", "b"):
+        (logs / f"{fid}.csv").write_text("timestamp_s,channel,x,y,z,r_deg\n0.0,safe,0,0,0,0\n")
+    return logs
+
+
+class TestEveryFlightFailed:
+    """A run in which every flight failed exits 2, writes nothing and keeps
+    each flight's reason on stderr, once."""
+
+    def test_preprocess_exits_2_without_windows_or_out(self, one_record_logs, tmp_path, capsys):
+        out = tmp_path / "pre"
+        assert run("preprocess", "--logs", one_record_logs, "--out", out) == 2
+        assert capsys.readouterr() == ("", _ONE_RECORD_ERRORS)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--logs", "--log"])
+    def test_detect_exits_2_without_reports_or_out(self, synth_dirs, one_record_logs,
+                                                   tmp_path, capsys, source):
+        logs = one_record_logs if source == "--logs" else one_record_logs / "a.csv"
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], source, logs,
+                   "--out", out) == 2
+        errors = _ONE_RECORD_ERRORS.splitlines(keepends=True)
+        assert capsys.readouterr() == ("", "".join(errors if source == "--logs" else errors[:1]))
+        assert not out.exists()
+
+    def test_detect_windows_of_only_bad_flight_ids_exit_2(self, synth_dirs, tmp_path, capsys):
+        rows = (synth_dirs["pre"] / "windows.csv").read_text().splitlines(keepends=True)
+        windows = tmp_path / "windows.csv"
+        windows.write_text(rows[0] + "".join("../" + row for row in rows[1:]))
+        out = tmp_path / "det"
+        assert run("detect", "--model", synth_dirs["calibrated"], "--windows", windows,
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len({row.split(",", 1)[0] for row in rows[1:]})
+        assert all(line.endswith("is not a plain file name") for line in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "detect"])
+    def test_existing_out_is_kept_and_left_empty(self, synth_dirs, one_record_logs, tmp_path,
+                                                 command):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--model", synth_dirs["calibrated"]] if command == "detect" else []
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run(command, *argv, "--logs", one_record_logs, "--out", out) == 2
+        assert list(out.iterdir()) == []
+
+
 class TestConflictingFlags:
     @pytest.mark.parametrize("command, flags, message", [
         ("detect", ["--logs", "held/logs", "--windows", "pre/windows.csv"],
