@@ -6,9 +6,9 @@ numbers, also --seed.  ``main`` runs them all: given --out, it creates it and
 atomically writes a run manifest of the effective parameters, inputs, outputs
 and failures next to the outputs.  It exits 1 iff some items failed and the
 rest were processed (a flight, or a ``detect --stream`` row, reported on
-stderr and in the manifest's ``failures``), 2 on bad input or when every
-flight of ``preprocess`` or ``detect`` failed (such a run writes nothing, so
-its reasons are on stderr only; an --out it created goes if still empty), else 0.
+stderr and in the manifest's ``failures``), 2 on bad input or when every flight
+of ``preprocess`` or ``detect`` or row of ``--stream`` failed (no manifest, so
+its reasons are on stderr only; an --out it made goes if empty), else 0.
 A --config file is a flat JSON object keyed by flag name with underscores;
 its entries are parsed as the flags they name, right after the command:
 ``true`` is the bare flag, ``false`` and ``null`` none, another value ``v``
@@ -32,14 +32,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, autoenc, detector, evalstats, preprocess, synthgen
-from .flightdata import parse_flight_log, parse_labels, parse_obstacles, write_json
+from .flightdata import parse_flight_log, parse_labels, parse_obstacles, write_csv, write_json
 from .geometry import fitness_components, trajectory_from_log
 
 MANIFEST_NAME = "run_manifest.json"
 
 
 class _EveryFlightFailed(Exception):
-    """No flight was processed; each one's reason is already on stderr."""
+    """No flight or stream row was processed; each one's reason is on stderr."""
 
 
 def _write_manifest(args: argparse.Namespace, result: dict, started: float) -> None:
@@ -171,10 +171,8 @@ def cmd_calibrate(args) -> dict:
     losses = model.reconstruction_losses(windows)
     calibration = detector.calibrate_threshold(losses, quantile=args.quantile, bins=args.bins)
     hist_path = out / "loss_histogram.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "count", "log10_count"])
-        writer.writerows(calibration.pop("histogram"))  # None as "", a float as its repr
+    write_csv(hist_path, ["bin_low", "bin_high", "count", "log10_count"],
+              calibration.pop("histogram"))
     calib_path = out / "calibration.json"
     write_json(calibration, calib_path, indent=2)
     outputs = [hist_path, calib_path]
@@ -273,31 +271,34 @@ def _check_width(what: str, width: int, model) -> None:
 def _detect_stream_stdin(model, det_config) -> dict[str, str]:
     """Read windowed-CSV rows from stdin; emit alarm rows as they occur.
 
-    A malformed or out-of-order row is reported on stderr and skipped; the
-    rest are still scored.  Returns the skipped rows as ``{"row <n>": reason}``.
+    A malformed, unreadable or out-of-order row is reported on stderr and skipped;
+    the rest are still scored.  Returns the skipped rows as ``{"row <n>": reason}``.
     """
     failures = {}
+    detectors: dict[str, detector.StreamDetector] = {}
+    reader = csv.reader(sys.stdin)
     try:
-        reader = csv.reader(sys.stdin)
         header = next(reader, None)
         if header is None:
             return failures
         width = preprocess.windows_csv_width(header)
         _check_width("stream windows", width, model)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")  # flushes row by row: no write_csv
         writer.writerow(detector.ALARMS_CSV_HEADER)
         sys.stdout.flush()
-        detectors: dict[str, detector.StreamDetector] = {}
-        for row in reader:
-            if not row:
-                continue
+        while True:
             try:
+                row = next(reader, None)
+                if row is None:
+                    break
+                if not row:
+                    continue
                 win = preprocess.parse_window_row(row, width, model.window_length)
                 if win.flight_id not in detectors:
                     detectors[win.flight_id] = detector.StreamDetector(
                         model, det_config, win.flight_id)
                 alarm = detectors[win.flight_id].update(win)
-            except ValueError as exc:
+            except (ValueError, csv.Error) as exc:  # the reader reads on after a csv.Error
                 failures[f"row {reader.line_num}"] = str(exc)
                 print(f"error: row {reader.line_num}: {exc}", file=sys.stderr)
                 continue
@@ -308,6 +309,8 @@ def _detect_stream_stdin(model, det_config) -> dict[str, str]:
         # the consumer went away (e.g. piped into head); leave quietly and
         # hand the interpreter a writable stdout so shutdown does not complain
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if failures and not detectors:  # a flight's first window is always scored
+        raise _EveryFlightFailed
     return failures
 
 
@@ -500,7 +503,7 @@ def main(argv=None) -> int:
             _write_manifest(args, result, started)
     except _EveryFlightFailed:
         pass
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:  # csv.Error: an unreadable --stream header
         print(f"error: {exc}", file=sys.stderr)
     else:
         return 1 if result["failures"] else 0

@@ -10,7 +10,6 @@ Detection is strictly causal: the decision for window i sees only windows <= i.
 from __future__ import annotations
 
 import array
-import csv
 import io
 import json
 import math
@@ -21,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .autoenc import AutoencoderModel
-from .flightdata import write_json
+from .flightdata import write_csv, write_json
 from .geometry import DistanceTrace
 from .preprocess import HeadingWindow
 
@@ -258,14 +257,13 @@ def read_report(path) -> dict:
 
 def alarms_csv(docs: Iterable[dict]) -> str:
     """Flat alarm table of report documents: one row per alarm, flights in id order."""
+    rows = (alarm_row(doc["flight_id"], a)
+            for doc in sorted(docs, key=lambda d: d["flight_id"]) for a in doc["alarms"])
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ALARMS_CSV_HEADER)
-    for doc in sorted(docs, key=lambda d: d["flight_id"]):
-        writer.writerows(alarm_row(doc["flight_id"], a) for a in doc["alarms"])
+    write_csv(buf, ALARMS_CSV_HEADER, rows)
     return buf.getvalue()
 
 
 def alarm_row(flight_id: str, alarm: dict) -> list:
     """One row of the alarm table, under :data:`ALARMS_CSV_HEADER`, from a report alarm."""
-    return [flight_id, alarm["window_index"], *(repr(alarm[k]) for k in _ALARM_KEYS[1:])]
+    return [flight_id, *(alarm[k] for k in _ALARM_KEYS)]

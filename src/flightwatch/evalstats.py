@@ -8,7 +8,6 @@ one decimal percentage point.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .flightdata import FlightLabels, write_json
+from .flightdata import FlightLabels, write_csv, write_json
 
 
 @dataclass(frozen=True)
@@ -242,17 +241,11 @@ def write_evaluation_tables(doc: dict, outdir) -> list[Path]:
          [[name] + [_pct(axes[name]["metrics"][k]) for k in _METRICS] for name in _AXES]),
         *((f"confusion_{name}.csv", cells, [[axes[name]["confusion"][k] for k in cells]])
           for name in _AXES),
-        # csv writes None as an empty cell and a float as its repr
+        # write_csv writes None as an empty cell and a float as its repr
         ("per_flight.csv", _PER_FLIGHT,
          [[int(v) if isinstance(v, bool) else v for v in (row[k] for k in _PER_FLIGHT)]
           for row in doc["per_flight"]]),
     ]
-    written = []
     for name, header, table_rows in tables:
-        path = outdir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(table_rows)
-        written.append(path)
-    return written
+        write_csv(outdir / name, header, table_rows)
+    return [outdir / name for name, _, _ in tables]

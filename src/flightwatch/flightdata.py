@@ -156,6 +156,15 @@ def write_json(doc, path, *, indent: int | None = None, sort_keys: bool = True) 
                                      sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
+def write_csv(target, header: Iterable, rows: Iterable[Iterable]) -> None:
+    """Write a CSV table to a path or an open stream: UTF-8, ``"\n"`` line ends,
+    minimal quoting, a float as its ``repr`` and ``None`` as an empty cell."""
+    with open_text(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _csv_rows(stream, header: tuple[str, ...]):
     """(file line, row) for each non-empty row of a CSV with the given header,
     read from any iterable of lines; a row whose quoted field spans lines is
@@ -338,7 +347,4 @@ def parse_labels(source) -> dict[str, FlightLabels]:
 
 def write_labels(labels: Mapping[str, FlightLabels] | Iterable[FlightLabels], path) -> None:
     items = labels.values() if isinstance(labels, Mapping) else labels
-    with open_text(path, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(LABELS_HEADER)
-        writer.writerows((lab.flight_id, lab.safety, lab.certainty) for lab in items)
+    write_csv(path, LABELS_HEADER, ((lab.flight_id, lab.safety, lab.certainty) for lab in items))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flightdata import FlightLabels, FlightLog, ObstacleBox, open_text
+from .flightdata import FlightLabels, FlightLog, ObstacleBox, open_text, write_csv
 from .geometry import DistanceTrace, min_obstacle_distance, trajectory_from_log
 
 _EPS = 1e-9
@@ -217,10 +217,6 @@ def preprocess_flight(log: FlightLog, config: PreprocessConfig, *,
     return windows, trace
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_windows_csv(windows: Sequence[HeadingWindow], target, *,
                       window_samples: int | None = None) -> None:
     """Persist the windowed dataset (header v-columns sized from the data)."""
@@ -232,14 +228,10 @@ def write_windows_csv(windows: Sequence[HeadingWindow], target, *,
         w = window_samples
     else:
         raise ValueError("window_samples is required to write an empty dataset")
-    with open_text(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(list(WINDOWS_CSV_FIXED) + [f"v{k}" for k in range(w)])
-        for win in windows:
-            writer.writerow([win.flight_id, win.index, _fmt(win.start), _fmt(win.end),
-                             _fmt(win.win_dist), _fmt(win.min_dist),
-                             win.safety or "", win.certainty or ""]
-                            + [_fmt(v) for v in win.values])
+    write_csv(target, [*WINDOWS_CSV_FIXED, *(f"v{k}" for k in range(w))],
+              ([win.flight_id, win.index, float(win.start), float(win.end),
+                float(win.win_dist), float(win.min_dist), win.safety, win.certainty,
+                *win.values.tolist()] for win in windows))
 
 
 def windows_csv_width(header: Sequence[str] | None) -> int:
@@ -278,16 +270,23 @@ def parse_window_row(row: Sequence[str], width: int,
 
 
 def read_windows_csv(source, window_length: float | None = None) -> list[HeadingWindow]:
-    """Read a windowed dataset written by :func:`write_windows_csv`."""
+    """Read a windowed dataset written by :func:`write_windows_csv`; a bad row
+    is a ValueError naming the line it starts on (a csv.Error: the line it stops on)."""
     with open_text(source) as stream:
         reader = csv.reader(stream)
-        width = windows_csv_width(next(reader, None))
         windows = []
-        for row in filter(None, reader):
-            try:
-                windows.append(parse_window_row(row, width, window_length))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        try:
+            width = windows_csv_width(next(reader, None))
+            line_no = reader.line_num + 1  # the first line of the next row
+            for row in reader:
+                if row:
+                    try:
+                        windows.append(parse_window_row(row, width, window_length))
+                    except ValueError as exc:
+                        raise ValueError(f"line {line_no}: {exc}") from None
+                line_no = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         return windows
 
 

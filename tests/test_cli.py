@@ -474,10 +474,58 @@ class TestDetect:
         assert rc == 1
         assert err == [f"error: row 30: {why}"]
 
+    @pytest.mark.parametrize("line", [1, 30])
+    def test_field_over_the_csv_size_limit_exits_2(self, synth_dirs, tmp_path, capsys, line):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fields = lines[line - 1].split(",")
+        fields[-1] = "0" * 200_000
+        lines[line - 1] = ",".join(fields)
+        windows = tmp_path / "windows.csv"
+        windows.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m"
+        assert run("train", "--windows", windows, "--max-epochs", "2", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: field larger than field limit (131072)\n")
+        assert not out.exists()
+
+    def test_stream_skips_a_row_over_the_csv_size_limit(self, synth_dirs, tmp_path,
+                                                        monkeypatch, capsys):
+        lines = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()
+        fid = lines[1].split(",", 1)[0]
+        rows = [line for line in lines[1:] if line.startswith(fid + ",")][:7]
+        fields = rows[3].split(",")
+        fields[10] = "0" * 200_000
+        rows[3] = ",".join(fields)
+        rc, out, err = self._stream(synth_dirs, monkeypatch, capsys, [lines[0], *rows],
+                                    "--threshold", "1e-6", "--out", tmp_path / "s")
+        assert rc == 1
+        assert err == ["error: row 5: field larger than field limit (131072)"]
+        manifest = json.loads((tmp_path / "s" / "run_manifest.json").read_text())
+        assert manifest["failures"] == {"row 5": "field larger than field limit (131072)"}
+        # the rows after it are scored: the fourth scored window (index 4) fills
+        # the rolling mean
+        assert [line.split(",")[:2] for line in out[1:]] == [[fid, "4"], [fid, "5"], [fid, "6"]]
+
+    def test_stream_of_only_bad_rows_exits_2(self, synth_dirs, tmp_path, monkeypatch, capsys):
+        header = (synth_dirs["pre"] / "windows.csv").read_text().splitlines()[0]
+        out = tmp_path / "s"
+        rc, stdout, err = self._stream(synth_dirs, monkeypatch, capsys,
+                                       [header, "a,0,0.0", "a,1"], "--out", out)
+        assert rc == 2
+        assert stdout == ["flight_id,window_index,timestamp_s,loss,rolling_mean"]
+        assert err == ["error: row 2: expected 33 fields, got 3",
+                       "error: row 3: expected 33 fields, got 2"]
+        assert not out.exists()
+        # a header without rows failed nothing
+        assert self._stream(synth_dirs, monkeypatch, capsys, [header], "--out", out)[0] == 0
+        assert (out / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("header, message", [
         ("flight,index,start_s", "bad windowed dataset header"),
         ("flight_id,index,start_s,end_s,win_dist_m,min_dist_m,safety,certainty,v0,v1",
          "stream windows have 2 samples, the model expects 25"),
+        pytest.param("flight_id," + "v" * 200_000, "field larger than field limit (131072)",
+                     id="field-over-the-csv-size-limit"),
     ])
     def test_stream_bad_header_exits_2(self, synth_dirs, monkeypatch, capsys,
                                        header, message):

@@ -450,6 +450,15 @@ class TestWindowsCsv:
         with pytest.raises(ValueError, match=r"^line 21: expected 33 fields, got 30$"):
             read_windows_csv(io.StringIO("\n".join(lines) + "\n"))
 
+    def test_read_error_names_the_first_line_of_a_row(self):
+        # a flight id holding a line break is quoted, and each row spans two lines
+        wins = [HeadingWindow("a\nb", 0, 0.0, 5.0, np.zeros(25)),
+                HeadingWindow("a\nb", 1, 2.5, 7.5, np.zeros(25), win_dist=-1.0)]
+        buf = io.StringIO()
+        write_windows_csv(wins, buf)
+        with pytest.raises(ValueError, match=r"^line 4: win_dist_m and min_dist_m must be >= 0"):
+            read_windows_csv(io.StringIO(buf.getvalue()))
+
 
 def _window_lines():
     """A valid windowed dataset of two flights, three windows each, as lines."""
@@ -462,8 +471,12 @@ def _window_lines():
     return buf.getvalue().splitlines()
 
 
-# another type, a number that is not finite, or an empty value; never a comma
-_ROW_TOKENS = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "NaN", "1e400", "abc"]),
+# over the csv module's field size limit (131,072 characters)
+_OVERSIZED = "0" * 200_000
+# another type, a number that is not finite, an empty value, or one the csv
+# module cannot read; never a comma
+_ROW_TOKENS = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "NaN", "1e400", "abc",
+                                         _OVERSIZED]),
                         st.text("ab019.e-+ ", max_size=4))
 
 
@@ -485,11 +498,37 @@ def mutated_lines(lines, mutation):
     return lines[:line - 1] + [",".join(row)] + lines[line:]
 
 
+_EXTREME_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def windows_to_write(draw):
+    """Windows of one width whose flight ids hold ``,``, ``"`` or a line break,
+    whose values include the extreme and non-finite floats (NaN only as
+    ``math.nan``, the NaN a read gives back), with distances >= 0 or +inf and
+    empty or present labels."""
+    width = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = st.one_of(st.sampled_from(_EXTREME_FLOATS), finite)
+    distance = st.one_of(st.just(math.inf), st.floats(min_value=0.0, allow_infinity=False))
+    flight_id = st.lists(st.sampled_from(["a", "b", ",", '"', "\n", "\r\n"]),
+                         min_size=1, max_size=6).map("".join)
+    window = st.builds(
+        HeadingWindow, flight_id=flight_id, index=st.integers(min_value=0), start=finite,
+        end=finite, values=st.lists(value, min_size=width, max_size=width),
+        win_dist=distance, min_dist=distance,
+        safety=st.sampled_from([None, "safe", "unsafe"]),
+        certainty=st.sampled_from([None, "certain", "uncertain"]))
+    return draw(st.lists(window, min_size=1, max_size=4))
+
+
 class TestWindowsCsvProperty:
     @settings(max_examples=300, deadline=None)
     @given(mutation=window_row_mutations())
     @example(mutation=(3, 0, ""))
     @example(mutation=(4, 4, "nan"))
+    @example(mutation=(5, 20, _OVERSIZED))
     def test_one_mutation_gives_valid_windows_or_names_the_line(self, mutation):
         lines = mutated_lines(_window_lines(), mutation)
         try:
@@ -502,6 +541,17 @@ class TestWindowsCsvProperty:
             assert w.flight_id and type(w.index) is int and w.values.shape == (25,)
             assert math.isfinite(w.start) and abs(w.end - w.start - 5.0) <= _EPS
             assert w.win_dist >= 0 and w.min_dist >= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows=windows_to_write())
+    def test_write_read_write_keeps_bytes_and_fields(self, windows):
+        first = io.StringIO()
+        write_windows_csv(windows, first)
+        again = read_windows_csv(io.StringIO(first.getvalue()))
+        second = io.StringIO()
+        write_windows_csv(again, second)
+        assert second.getvalue() == first.getvalue()
+        assert list(map(_window_bits, again)) == list(map(_window_bits, windows))
 
 
 def _two_flights(config):
